@@ -229,11 +229,7 @@ fn merge_into(path: &str, obj: &str) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_net.json".to_string());
+    let out = gaat_bench::out_path(&args, "BENCH_net.json");
 
     let mut guard = gaat_bench::throttle::ThrottleGuard::open(if smoke { 2 } else { 5 });
 

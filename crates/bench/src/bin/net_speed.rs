@@ -199,11 +199,7 @@ fn sanity_pin() -> SanityPin {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_net.json".to_string());
+    let out = gaat_bench::out_path(&args, "BENCH_net.json");
 
     // Smoke mode is a CI gate, not a measurement: a few thousand flows
     // exercise every solver path in well under a second, where the full

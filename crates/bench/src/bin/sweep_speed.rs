@@ -175,11 +175,7 @@ fn numbers(report: &SweepReport) -> SweepNumbers {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "BENCH_sweep.json".to_string());
+    let out = gaat_bench::out_path(&args, "BENCH_sweep.json");
 
     let mut guard = gaat_bench::throttle::ThrottleGuard::open(if smoke { 2 } else { 5 });
 

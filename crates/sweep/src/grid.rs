@@ -249,17 +249,17 @@ impl Scenario {
             "{} seed={} {}",
             self.workload.name(),
             self.seed,
-            self.group_suffix()
+            self.suffix(true)
         )
     }
 
-    /// Group key: the label minus the seed axis, for aggregation over
-    /// seeds.
+    /// Group key: the label minus the seed axes (machine and fault
+    /// seed), for aggregation over seeds.
     pub fn group(&self) -> String {
-        format!("{} {}", self.workload.name(), self.group_suffix())
+        format!("{} {}", self.workload.name(), self.suffix(false))
     }
 
-    fn group_suffix(&self) -> String {
+    fn suffix(&self, with_fault_seed: bool) -> String {
         let topo = match self.topology {
             TopologyKind::Flat => "flat",
             TopologyKind::FatTree(_) => "fattree",
@@ -279,7 +279,7 @@ impl Scenario {
         if self.fault_onset != SimTime::ZERO {
             s.push_str(&format!(" onset={}ns", self.fault_onset.as_ns()));
         }
-        if self.fault_seed != 0 {
+        if with_fault_seed && self.fault_seed != 0 {
             s.push_str(&format!(" fseed={}", self.fault_seed));
         }
         // Only widens the identity when the LB axis is in play, so

@@ -8,7 +8,7 @@
 //! scenarios) and shares the same pre-built topology state; outcomes
 //! are bit-identical at any worker count, so feel free to vary
 //! `SWEEP_WORKERS`. Because the drop rates only become observable at
-//! the 800 us fault onset, the prefix-memoizing planner groups the four
+//! the 300 us fault onset, the prefix-memoizing planner groups the four
 //! drop rates of each (seed, ODF, placement) cell, executes their
 //! shared prefix once, snapshots the world just before the onset, and
 //! forks the remaining three scenarios from the snapshot — the
@@ -22,16 +22,11 @@
 
 use gaat::jacobi3d::{CommMode, Dims, Placement};
 use gaat::rt::MachineConfig;
-use gaat::sim::{FaultPlan, SimDuration, SimTime};
+use gaat::sim::{SimDuration, SimTime};
 use gaat::sweep::{run_sweep, ScenarioGrid, SweepOptions, Workload};
 
 fn main() {
     let mut machine = MachineConfig::validation(2, 2);
-    machine.faults = FaultPlan {
-        seed: 42,
-        drop_prob: 0.0,
-        ..FaultPlan::none()
-    };
     machine.ucx.reliability.enabled = true;
 
     let mut grid = ScenarioGrid::new(machine);
@@ -41,13 +36,21 @@ fn main() {
         warmup: 1,
         comm: CommMode::HostStaging,
     });
+    // Each seed drives both the machine and the fault plan: the grid
+    // crosses the two axes and the filter keeps the diagonal. On this
+    // zero-jitter machine a fixed fault seed would make all 32 seeds
+    // replay the same message fates.
     grid.seeds = (1..=32).collect();
+    grid.fault_seeds = grid.seeds.clone();
+    grid.filter = Some(|sc| sc.seed == sc.fault_seed);
     grid.odfs = vec![1, 2, 4, 8];
     grid.placements = vec![Placement::Packed, Placement::RoundRobin];
     grid.drop_rates = vec![0.0, 0.01, 0.05, 0.10];
-    // Faults arm most of the way through the ~1.1 ms timeline, so each
-    // drop-rate cell shares a long executed prefix (the fork point).
-    grid.fault_onsets = vec![SimTime::ZERO + SimDuration::from_us(800)];
+    // Faults arm at 300 us: inside the shortest fault-free makespan
+    // (452 us at ODF 1; ODF 8 runs take ~6 ms), so every drop rate acts
+    // on every group while each drop-rate cell still shares an executed
+    // prefix (the fork point).
+    grid.fault_onsets = vec![SimTime::ZERO + SimDuration::from_us(300)];
     let scenarios = grid.expand();
     assert!(scenarios.len() >= 1000, "meant to demo a big batch");
 
@@ -89,4 +92,20 @@ fn main() {
         opts.csv.as_ref().unwrap().display()
     );
     print!("{}", report.aggregate_table());
+
+    // A lossy group that dropped nothing means the onset missed its
+    // timeline and the drop axis is dead there.
+    let mut drops: Vec<(String, u64)> = Vec::new();
+    for r in &report.records {
+        if scenarios[r.index].drop_rate == 0.0 {
+            continue;
+        }
+        match drops.iter_mut().find(|(g, _)| *g == r.group) {
+            Some((_, n)) => *n += r.net_drops,
+            None => drops.push((r.group.clone(), r.net_drops)),
+        }
+    }
+    for (group, n) in &drops {
+        assert!(*n > 0, "no message dropped in lossy group {group}");
+    }
 }
