@@ -1,7 +1,7 @@
 //! Regenerate the paper's evaluation figures.
 //!
 //! ```text
-//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|7a|7b|7c|8|9|ablations]
+//! cargo run --release -p gaat-bench --bin figures -- [--fig all|6|7|7a|7b|7c|8|9|ablations|headline]
 //!                                                    [--effort quick|standard|full]
 //!                                                    [--out results]
 //! ```
@@ -10,44 +10,75 @@
 //! table; Fig. 9 additionally prints the graph-execution speedups. The
 //! `full` effort matches the paper's scale (512 nodes, 100 iterations,
 //! 3 seeds) and takes a long time; `standard` (default) reproduces every
-//! qualitative claim in minutes.
+//! qualitative claim in minutes. `headline` (not part of `all`) runs the
+//! 512-node Charm-D spot check at a fixed size whatever the effort. An
+//! unknown flag or value exits with code 2.
 
 use std::path::PathBuf;
 
 use gaat_bench::harness::{print_table, write_csv};
-use gaat_bench::{ablation, best_per_point, fig6, fig7a, fig7b, fig7c, fig8, fig9, Effort};
+use gaat_bench::{
+    ablation, best_per_point, fig6, fig7a, fig7b, fig7c, fig8, fig9, headline, Effort,
+};
 
-fn main() {
-    let mut fig = "all".to_string();
-    let mut effort = Effort::standard();
-    let mut effort_name = "standard".to_string();
-    let mut out = PathBuf::from("results");
+/// Values `--fig` accepts; `7` selects 7a, 7b and 7c.
+const FIGS: [&str; 10] = [
+    "all",
+    "6",
+    "7",
+    "7a",
+    "7b",
+    "7c",
+    "8",
+    "9",
+    "ablations",
+    "headline",
+];
+/// Values `--effort` accepts.
+const EFFORTS: [&str; 3] = ["quick", "standard", "full"];
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fig" => {
-                fig = args.get(i + 1).expect("--fig needs a value").clone();
-                i += 2;
-            }
-            "--effort" => {
-                effort_name = args.get(i + 1).expect("--effort needs a value").clone();
-                effort = match effort_name.as_str() {
-                    "quick" => Effort::quick(),
-                    "standard" => Effort::standard(),
-                    "full" => Effort::full(),
-                    other => panic!("unknown effort {other:?}"),
-                };
-                i += 2;
-            }
+/// The `--fig` and `--effort` values (defaults `all` and `standard`),
+/// checked against the lists above. `--out` is read by
+/// [`gaat_bench::out_path`]; its value is skipped here.
+fn parse_args(args: &[String]) -> Result<(String, String), String> {
+    let (mut fig, mut effort) = ("all".to_string(), "standard".to_string());
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let (value, valid): (&mut String, &[&str]) = match flag.as_str() {
+            "--fig" => (&mut fig, &FIGS),
+            "--effort" => (&mut effort, &EFFORTS),
             "--out" => {
-                out = PathBuf::from(args.get(i + 1).expect("--out needs a value"));
-                i += 2;
+                it.next();
+                continue;
             }
-            other => panic!("unknown argument {other:?}"),
+            other => return Err(format!("unknown argument {other:?}")),
+        };
+        match it.next() {
+            Some(v) if valid.contains(&v.as_str()) => *value = v.clone(),
+            Some(v) => {
+                return Err(format!(
+                    "unknown {flag} value {v:?}; valid: {}",
+                    valid.join(", ")
+                ))
+            }
+            None => return Err(format!("{flag} needs one of: {}", valid.join(", "))),
         }
     }
+    Ok((fig, effort))
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let out = PathBuf::from(gaat_bench::out_path(&args, "results"));
+    let (fig, effort_name) = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
+    let effort = match effort_name.as_str() {
+        "quick" => Effort::quick(),
+        "full" => Effort::full(),
+        _ => Effort::standard(),
+    };
 
     println!(
         "effort={effort_name}: iters={} warmup={} max_nodes={} odfs={:?} seeds={:?}",
@@ -55,7 +86,9 @@ fn main() {
     );
     println!("machine model: {:?}", gaat_rt::MachineConfig::summit(1));
 
-    let want = |name: &str| fig == "all" || fig == name || (name.starts_with(&fig) && fig == "7");
+    let want = |name: &str| {
+        fig == name || (fig == "all" && name != "headline") || (fig == "7" && name.starts_with('7'))
+    };
 
     if want("6") {
         let rows = fig6(&effort);
@@ -124,5 +157,38 @@ fn main() {
             sync_us / async_us
         );
     }
+    if want("headline") {
+        let rows = headline();
+        write_csv(&out.join("headline.csv"), &rows).expect("write headline.csv");
+        print_table(
+            "Headline — Charm-D strong scaling 3072^3 to 512 nodes (3,072 GPUs), 15 iterations",
+            &rows,
+        );
+    }
     println!("\nCSV written under {}", out.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_args;
+
+    fn parse(a: &[&str]) -> Result<(String, String), String> {
+        parse_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn fig_and_effort_take_known_names_or_fail() {
+        let ok = |f: &str, e: &str| Ok((f.to_string(), e.to_string()));
+        assert_eq!(parse(&[]), ok("all", "standard"));
+        assert_eq!(
+            parse(&["--fig", "headline", "--out", "/tmp/r", "--effort", "quick"]),
+            ok("headline", "quick")
+        );
+        assert_eq!(parse(&["--fig", "7"]), ok("7", "standard"));
+        let err = parse(&["--fig", "10"]).unwrap_err();
+        assert!(err.contains("\"10\"") && err.contains("headline"), "{err}");
+        assert!(parse(&["--fig"]).is_err());
+        assert!(parse(&["--effort", "huge"]).is_err());
+        assert!(parse(&["--figs", "6"]).is_err());
+    }
 }

@@ -4,7 +4,7 @@
 
 use gaat_jacobi3d::{Dims, Fusion, SyncMode};
 
-use crate::harness::{run_jobs, run_point, Effort, Row, Variant};
+use crate::harness::{run_point, Effort, Row, Variant};
 
 /// Global grid for weak scaling: the per-node volume stays `base³` by
 /// doubling one axis per doubling of nodes (the paper's "size of each
@@ -34,13 +34,16 @@ struct Job {
     sync: SyncMode,
 }
 
+/// Run the jobs on the sweep engine's slot pool, so engines are recycled
+/// across figure points instead of rebuilt (bit-invisible in results).
 fn exec(jobs: Vec<Job>, e: &Effort) -> Vec<Row> {
-    run_jobs(jobs, |slot, j| {
+    let rows = gaat_sweep::run_batch(&jobs, 0, |slot, j| {
         run_point(
             slot, j.figure, &j.series, j.variant, j.nodes, j.global, j.odf, j.fusion, j.graphs,
             j.sync, e,
         )
-    })
+    });
+    rows.0
 }
 
 /// Fig. 6: Charm-H before/after the host-device synchronization and
@@ -150,6 +153,32 @@ pub fn fig7c(e: &Effort) -> Vec<Row> {
         jobs.extend(four_versions("7c", nodes, Dims::cube(3072), e));
     }
     exec(jobs, e)
+}
+
+/// §IV-C headline: Charm-D strong scaling of a 3072³ grid at 128, 256
+/// and 512 nodes (3,072 GPUs), each at its best ODF, always with 15
+/// timed + 3 warm-up iterations on one seed whatever the effort.
+pub fn headline() -> Vec<Row> {
+    let e = Effort {
+        iters: 15,
+        warmup: 3,
+        ..Effort::standard()
+    };
+    let jobs = [(128, 4), (256, 2), (512, 2)]
+        .into_iter()
+        .map(|(nodes, odf)| Job {
+            figure: "headline",
+            series: Variant::CharmD.label().into(),
+            variant: Variant::CharmD,
+            nodes,
+            global: Dims::cube(3072),
+            odf,
+            fusion: Fusion::None,
+            graphs: false,
+            sync: SyncMode::Optimized,
+        })
+        .collect();
+    exec(jobs, &e)
 }
 
 /// Fig. 8: kernel fusion strategies on Charm-D, strong scaling of a

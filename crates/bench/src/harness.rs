@@ -9,7 +9,6 @@ use gaat_rt::WorldSlot;
 
 /// Which of the paper's four Jacobi3D versions to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Variant {
     /// MPI with host staging.
     MpiH,
@@ -48,7 +47,6 @@ impl Variant {
 
 /// How much compute to spend regenerating figures.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Effort {
     /// Timed iterations (paper: 100).
     pub iters: usize,
@@ -118,7 +116,6 @@ impl Effort {
 
 /// One measured point.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Row {
     /// Figure id ("6a", "7c", ...).
     pub figure: String,
@@ -206,18 +203,6 @@ pub fn run_point(
         cpu_util: total_cpu / n,
         seeds: e.seeds.len(),
     }
-}
-
-/// Execute a batch of independent jobs on the sweep engine's slot pool:
-/// each worker thread owns one reusable [`WorldSlot`] handed to every
-/// job it claims, so engines are recycled across figure points instead
-/// of rebuilt (the sweep engine's fast path, bit-invisible in results).
-pub fn run_jobs<J, F>(jobs: Vec<J>, f: F) -> Vec<Row>
-where
-    J: Send + Sync,
-    F: Fn(&mut WorldSlot, &J) -> Row + Sync,
-{
-    gaat_sweep::run_batch(&jobs, 0, f).0
 }
 
 /// For each (series, nodes) keep only the fastest row over ODFs — how the
@@ -326,25 +311,5 @@ mod tests {
             .expect("present");
         assert_eq!(a1.odf, 2);
         assert_eq!(a1.time_us, 7.0);
-    }
-
-    #[test]
-    fn run_jobs_completes_all() {
-        let jobs: Vec<usize> = (0..20).collect();
-        let rows = run_jobs(jobs, |_slot, &i| Row {
-            figure: "t".into(),
-            series: format!("s{i}"),
-            nodes: i,
-            odf: 1,
-            fusion: "None".into(),
-            graphs: false,
-            time_us: i as f64,
-            cpu_util: 0.0,
-            seeds: 1,
-        });
-        assert_eq!(rows.len(), 20);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r.nodes, i, "results in job order");
-        }
     }
 }

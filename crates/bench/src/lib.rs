@@ -16,7 +16,7 @@ pub mod harness;
 pub mod protocols;
 pub mod throttle;
 
-pub use figures::{fig6, fig7a, fig7b, fig7c, fig8, fig9, weak_dims};
+pub use figures::{fig6, fig7a, fig7b, fig7c, fig8, fig9, headline, weak_dims};
 pub use harness::{best_per_point, Effort, Row, Variant};
 
 /// Value of a bench binary's `--out PATH` flag, or `default` when the

@@ -33,12 +33,10 @@ use std::sync::Arc;
 
 /// Identifier of a machine node (which hosts several PEs/GPUs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub usize);
 
 /// Which interconnect model prices and schedules messages.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopologyKind {
     /// Per-NIC alpha-beta model; unloaded links, delivery fixed at send.
     #[default]
@@ -50,7 +48,6 @@ pub enum TopologyKind {
 
 /// Calibration constants of the fabric.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetParams {
     /// Base one-way latency between nodes (host memory to host memory).
     pub inter_latency: SimDuration,
@@ -141,7 +138,6 @@ impl SharedTopology {
 /// Coarse message class, for traffic accounting and (in topology models)
 /// future QoS; the fabric prices all classes identically today.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrafficClass {
     /// Bulk payload (eager data, rendezvous data, pipeline chunks).
     #[default]

@@ -8,7 +8,6 @@ use crate::time::{SimDuration, SimTime};
 
 /// Engine-level counters for one `Sim`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
     /// Events executed.
     pub events_executed: u64,
@@ -20,7 +19,6 @@ pub struct SimStats {
 
 /// Streaming mean/variance/min/max accumulator (Welford's algorithm).
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Accumulator {
     n: u64,
     mean: f64,
@@ -128,7 +126,6 @@ impl Accumulator {
 /// Call [`BusyTracker::set_busy`] on every busy/idle transition; at the end
 /// of the run, [`BusyTracker::utilization`] gives busy-time / elapsed-time.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BusyTracker {
     busy_since: Option<SimTime>,
     accumulated: SimDuration,
@@ -183,7 +180,6 @@ impl BusyTracker {
 
 /// Fixed-boundary log-scale histogram of durations (ns), 1 ns .. ~18 s.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LogHistogram {
     /// bucket `i` counts samples in `[2^i, 2^(i+1))` ns
     buckets: Vec<u64>,
@@ -238,7 +234,6 @@ impl LogHistogram {
 
 /// Per-iteration timing record for an application run.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IterationTimer {
     marks: Vec<SimTime>,
 }

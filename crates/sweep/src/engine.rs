@@ -1,5 +1,8 @@
 //! The request-driven sweep executor: a work queue drained by a pool of
-//! std threads, each owning one reusable [`WorldSlot`].
+//! std threads, each owning one reusable [`WorldSlot`]. The same pool
+//! serves [`run_batch`]. Every planned unit, a single scenario or a
+//! prefix group, runs through one path: a single is a group of one that
+//! never pauses or snapshots.
 //!
 //! Determinism argument, in full:
 //!
@@ -15,7 +18,7 @@
 //!    derive itself (`gaat-topo`'s `RouteTable` is built by replaying
 //!    `try_route`), so sharing immutable topology state is also
 //!    bit-invisible.
-//! 4. Workers claim scenarios by atomic fetch-add, so worker count and
+//! 4. Workers claim units by atomic fetch-add, so worker count and
 //!    dequeue order only permute *completion order*. Records carry
 //!    their scenario's stable grid index; the report re-sorts by index,
 //!    and wall-clock metadata is excluded from fingerprints.
@@ -31,9 +34,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use gaat_jacobi3d::{charm, RunResult};
+use gaat_jacobi3d::charm;
 use gaat_net::SharedTopology;
-use gaat_rt::{MachineConfig, Simulation, SlotStats, WorldSlot};
+use gaat_rt::{Simulation, SlotStats, WorldSlot};
 use gaat_sim::{SimDuration, SimTime};
 
 use crate::fork::{self, ForkStats, Unit};
@@ -117,12 +120,7 @@ impl SweepReport {
                 None => {
                     rows.push(AggregateRow {
                         group: r.group.clone(),
-                        count: 0,
-                        ok: 0,
-                        stalled: 0,
-                        mean_makespan_ns: 0.0,
-                        mean_unit_ns: 0.0,
-                        mean_wall_ns: 0.0,
+                        ..Default::default()
                     });
                     rows.last_mut().expect("just pushed")
                 }
@@ -174,11 +172,7 @@ impl SweepReport {
 /// wall-clock metadata fields vary.
 pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result<SweepReport> {
     let start = Instant::now();
-    let workers = if opts.workers == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        opts.workers
-    };
+    let workers = pool_size(opts.workers);
 
     // One immutable topology/route table per unique machine shape,
     // built up front and shared behind `Arc`s by every worker.
@@ -198,22 +192,14 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
     // scenario list (guarding against resuming a different grid).
     let mut slots_out: Vec<Option<ScenarioRecord>> = vec![None; scenarios.len()];
     let mut resumed = 0usize;
-    if opts.resume {
-        if let Some(p) = &opts.jsonl {
-            if let Ok(text) = std::fs::read_to_string(p) {
-                for line in text.lines() {
-                    if let Some(mut rec) = ScenarioRecord::from_jsonl(line) {
-                        let i = rec.index;
-                        if i < scenarios.len()
-                            && rec.label == scenarios[i].label()
-                            && slots_out[i].is_none()
-                        {
-                            rec.group = scenarios[i].group();
-                            slots_out[i] = Some(rec);
-                            resumed += 1;
-                        }
-                    }
-                }
+    let partial = opts.jsonl.as_ref().filter(|_| opts.resume);
+    if let Some(text) = partial.and_then(|p| std::fs::read_to_string(p).ok()) {
+        for mut rec in text.lines().filter_map(ScenarioRecord::from_jsonl) {
+            let i = rec.index;
+            if i < scenarios.len() && rec.label == scenarios[i].label() && slots_out[i].is_none() {
+                rec.group = scenarios[i].group();
+                slots_out[i] = Some(rec);
+                resumed += 1;
             }
         }
     }
@@ -232,83 +218,29 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
         }
         w.flush()?;
     }
+
+    // Stream each record out the moment its unit lands, so a killed
+    // sweep keeps every completed one.
     let mut write_err: Option<std::io::Error> = None;
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<ScenarioRecord>();
-    let mut slots = SlotStats::default();
     let mut fork_stats = ForkStats::default();
-    let shapes_ref = &shapes;
-    let next_ref = &next;
-    let units_ref = &units;
-
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            handles.push(s.spawn(move || {
-                let mut slot = WorldSlot::new();
-                for t in shapes_ref {
-                    slot.install_topology(t.clone());
-                }
-                let mut fstats = ForkStats::default();
-                'drain: loop {
-                    let u = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if u >= units_ref.len() {
-                        break;
-                    }
-                    match &units_ref[u] {
-                        Unit::Single(i) => {
-                            let rec = run_scenario_in(&mut slot, &scenarios[*i], opts.reuse_worlds);
-                            if tx.send(rec).is_err() {
-                                break;
-                            }
-                        }
-                        Unit::Group {
-                            members,
-                            divergence,
-                        } => {
-                            let recs = run_group_in(
-                                &mut slot,
-                                scenarios,
-                                members,
-                                *divergence,
-                                opts.reuse_worlds,
-                                &mut fstats,
-                            );
-                            for rec in recs {
-                                if tx.send(rec).is_err() {
-                                    break 'drain;
-                                }
-                            }
-                        }
-                    }
-                }
-                (slot.stats(), fstats)
-            }));
-        }
-        drop(tx);
-        // The calling thread is the sink: stream each record out the
-        // moment it lands, so a killed sweep keeps every completed one.
-        for rec in rx {
-            if let Some(w) = jsonl.as_mut() {
-                if write_err.is_none() {
-                    let line = rec.jsonl();
-                    if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
+    let slots = drain(
+        &units,
+        workers,
+        &shapes,
+        |slot, unit| run_unit(slot, scenarios, unit, opts.reuse_worlds),
+        |_, (recs, fs)| {
+            fork_stats.merge(&fs);
+            for rec in recs {
+                if let (Some(w), None) = (jsonl.as_mut(), &write_err) {
+                    if let Err(e) = writeln!(w, "{}", rec.jsonl()).and_then(|()| w.flush()) {
                         write_err = Some(e);
                     }
                 }
+                let idx = rec.index;
+                slots_out[idx] = Some(rec);
             }
-            let idx = rec.index;
-            slots_out[idx] = Some(rec);
-        }
-        for h in handles {
-            let (st, fs) = h.join().expect("sweep worker panicked");
-            slots.prepared += st.prepared;
-            slots.reused += st.reused;
-            fork_stats.merge(&fs);
-        }
-    });
+        },
+    );
     if let Some(e) = write_err {
         return Err(e);
     }
@@ -340,63 +272,96 @@ pub fn run_sweep(scenarios: &[Scenario], opts: &SweepOptions) -> std::io::Result
 /// topology reuse — the reference path the determinism test compares
 /// sweep records against.
 pub fn run_standalone(sc: &Scenario) -> ScenarioRecord {
-    let mut slot = WorldSlot::new();
-    run_scenario_in(&mut slot, sc, false)
+    let (mut recs, _) = run_unit(
+        &mut WorldSlot::new(),
+        std::slice::from_ref(sc),
+        &Unit::Single(0),
+        false,
+    );
+    recs.pop().expect("a single yields one record")
 }
 
 /// Drain an arbitrary job list across a pool of worker threads, each
-/// owning one reusable [`WorldSlot`] — the generic pool underneath
+/// owning one reusable [`WorldSlot`] — the pool underneath
 /// [`run_sweep`], exposed so other harnesses (the figure generator, the
 /// examples) can recycle worlds instead of hand-rolling serial loops.
-/// Jobs are claimed by atomic fetch-add; results come back in job
-/// order. `workers == 0` uses host parallelism.
+/// Results come back in job order. `workers == 0` uses host
+/// parallelism.
 pub fn run_batch<J, R, F>(jobs: &[J], workers: usize, f: F) -> (Vec<R>, SlotStats)
 where
     J: Sync,
     R: Send,
     F: Fn(&mut WorldSlot, &J) -> R + Sync,
 {
-    let workers = if workers == 0 {
+    let workers = pool_size(workers).min(jobs.len().max(1));
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(jobs.len()).collect();
+    let slots = drain(jobs, workers, &[], f, |i, r| out[i] = Some(r));
+    let results = out
+        .into_iter()
+        .map(|r| r.expect("every job produces exactly one result"))
+        .collect();
+    (results, slots)
+}
+
+/// Worker threads for a requested count; 0 = host parallelism.
+fn pool_size(workers: usize) -> usize {
+    if workers == 0 {
         std::thread::available_parallelism().map_or(1, usize::from)
     } else {
         workers
     }
-    .min(jobs.len().max(1));
+}
+
+/// The one worker pool: `workers` threads, each owning one reusable
+/// [`WorldSlot`] with `shapes` pre-installed, claim jobs by atomic
+/// fetch-add. `sink` runs on the calling thread and receives each
+/// `(job index, result)` as it lands. Returns the slots' merged
+/// counters.
+fn drain<J, R>(
+    jobs: &[J],
+    workers: usize,
+    shapes: &[SharedTopology],
+    work: impl Fn(&mut WorldSlot, &J) -> R + Sync,
+    mut sink: impl FnMut(usize, R),
+) -> SlotStats
+where
+    J: Sync,
+    R: Send,
+{
     let next = AtomicUsize::new(0);
-    let out: Vec<std::sync::Mutex<Option<R>>> = (0..jobs.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
+    let (tx, rx) = mpsc::channel::<(usize, R)>();
     let mut slots = SlotStats::default();
     std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..workers {
-            handles.push(s.spawn(|| {
-                let mut slot = WorldSlot::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let (next, work) = (&next, &work);
+                s.spawn(move || {
+                    let mut slot = WorldSlot::new();
+                    for t in shapes {
+                        slot.install_topology(t.clone());
                     }
-                    *out[i].lock().expect("a batch job panicked") = Some(f(&mut slot, &jobs[i]));
-                }
-                slot.stats()
-            }));
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs.len() || tx.send((i, work(&mut slot, &jobs[i]))).is_err() {
+                            break;
+                        }
+                    }
+                    slot.stats()
+                })
+            })
+            .collect();
+        drop(tx);
+        for (i, r) in rx {
+            sink(i, r);
         }
         for h in handles {
-            let st = h.join().expect("batch worker panicked");
+            let st = h.join().expect("pool worker panicked");
             slots.prepared += st.prepared;
             slots.reused += st.reused;
         }
     });
-    let results = out
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("lock poisoned")
-                .expect("job claimed but never finished")
-        })
-        .collect();
-    (results, slots)
+    slots
 }
 
 /// A record with identity filled in and every outcome field zeroed.
@@ -406,44 +371,7 @@ fn base_record(sc: &Scenario) -> ScenarioRecord {
         group: sc.group(),
         label: sc.label(),
         ok: true,
-        stalled: 0,
-        makespan_ns: 0,
-        unit_ns: 0,
-        checksum: None,
-        entries: 0,
-        net_messages: 0,
-        net_bytes: 0,
-        net_drops: 0,
-        net_retransmits: 0,
-        ucx_retransmits: 0,
-        ucx_timeouts: 0,
-        ucx_duplicates: 0,
-        coll_bytes: 0,
-        coll_chunks: 0,
-        wall_ns: 0,
-        setup_ns: 0,
-        reused_world: false,
-    }
-}
-
-/// Fold a tolerant Jacobi outcome into the record.
-fn apply_jacobi_outcome(
-    rec: &mut ScenarioRecord,
-    sim: &Simulation,
-    res: Option<RunResult>,
-    stalled: usize,
-) {
-    match res {
-        Some(r) => {
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_iter.as_ns();
-            rec.checksum = r.checksum;
-        }
-        None => {
-            rec.ok = false;
-            rec.stalled = stalled as u64;
-            rec.makespan_ns = sim.sim.now().as_ns();
-        }
+        ..Default::default()
     }
 }
 
@@ -461,230 +389,228 @@ fn seal_record(rec: &mut ScenarioRecord, sim: &Simulation) {
     rec.ucx_duplicates = ucx.duplicates;
 }
 
-/// Run one prefix group: build the first member's world, execute the
-/// shared prefix to just before `divergence`, snapshot, finish the
-/// first member live, then finish every other member from a restore of
-/// the snapshot with its own stochastic fault plan swapped in. If the
-/// world declines to snapshot, the first member still finishes live
-/// (the prefix ran under its exact config) and the rest fall back to
-/// standalone runs — correctness never depends on the fork succeeding.
-fn run_group_in(
+fn ns_since(t: Instant) -> u64 {
+    t.elapsed().as_nanos() as u64
+}
+
+/// Run one planned unit on `slot`: the only place that special-cases a
+/// workload, by supplying its three steps to [`Runner::run`]. Returns
+/// the unit's records and what forking it did.
+fn run_unit(
     slot: &mut WorldSlot,
     scenarios: &[Scenario],
-    members: &[usize],
-    divergence: SimTime,
+    unit: &Unit,
     reuse: bool,
-    fstats: &mut ForkStats,
-) -> Vec<ScenarioRecord> {
-    match scenarios[members[0]].workload {
-        Workload::Jacobi { .. } => run_group_generic(
-            slot,
-            scenarios,
+) -> (Vec<ScenarioRecord>, ForkStats) {
+    let (members, divergence) = match unit {
+        Unit::Single(i) => (std::slice::from_ref(i), None),
+        Unit::Group {
             members,
             divergence,
-            reuse,
-            fstats,
-            |sim0, sc| charm::build_in(sim0, sc.jacobi_config()),
-            |sim, ids| charm::start(sim, ids),
-            |sim, ids, sh, rec| {
-                let (res, stalled) = charm::finish_tolerant(sim, ids, sh);
-                apply_jacobi_outcome(rec, sim, res, stalled);
+        } => (members.as_slice(), Some(*divergence)),
+    };
+    let mut r = Runner {
+        slot,
+        scenarios,
+        reuse,
+        fork: ForkStats::default(),
+    };
+    let recs = match scenarios[members[0]].workload {
+        Workload::Jacobi { .. } => r.run(
+            members,
+            divergence,
+            &|sim0, sc| charm::build_in(sim0, sc.jacobi_config()),
+            &|sim, ids| charm::start(sim, ids),
+            &|sim, ids, sh, rec| match charm::finish_tolerant(sim, ids, sh) {
+                (Some(res), _) => {
+                    rec.makespan_ns = res.total.as_ns();
+                    rec.unit_ns = res.time_per_iter.as_ns();
+                    rec.checksum = res.checksum;
+                }
+                (None, stalled) => {
+                    rec.ok = false;
+                    rec.stalled = stalled as u64;
+                    rec.makespan_ns = sim.sim.now().as_ns();
+                }
             },
         ),
         Workload::Sweep3d {
             global,
             sweeps,
             warmup,
-        } => run_group_generic(
-            slot,
-            scenarios,
+        } => r.run(
             members,
             divergence,
-            reuse,
-            fstats,
-            move |sim0, sc| {
+            &|sim0, sc| {
                 let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
                 cfg.odf = sc.odf;
                 cfg.sweeps = sweeps;
                 cfg.warmup = warmup;
                 gaat_sweep3d::build_in(sim0, cfg)
             },
-            |sim, ids| gaat_sweep3d::start(sim, ids),
-            |sim, ids, sh, rec| {
+            &|sim, ids| gaat_sweep3d::start(sim, ids),
+            &|sim, ids, sh, rec| {
                 let r = gaat_sweep3d::finish(sim, ids, sh);
                 rec.makespan_ns = r.total.as_ns();
                 rec.unit_ns = r.time_per_sweep.as_ns();
             },
         ),
-        // The planner only forms groups for fork-capable workloads;
-        // anything else degrades gracefully to standalone runs.
-        _ => members
-            .iter()
-            .map(|&m| run_scenario_in(slot, &scenarios[m], reuse))
-            .collect(),
-    }
+        // The ML proxies never fork (see `Workload::forks`), and their
+        // runners broadcast the start entry themselves.
+        Workload::Train { params, steps } => r.run(
+            members,
+            divergence,
+            &|sim0, sc| {
+                let mut cfg = gaat_dptrain::TrainConfig::new(sc.machine.clone(), params);
+                cfg.steps = steps;
+                gaat_dptrain::train::build_train_in(sim0, cfg)
+            },
+            &|_, _| {},
+            &|sim, ids, sh, rec| {
+                let r = gaat_dptrain::run_train(sim, ids, sh);
+                rec.makespan_ns = r.total.as_ns();
+                rec.unit_ns = r.time_per_step.as_ns();
+                rec.coll_bytes = r.coll_stats.bytes;
+                rec.coll_chunks = r.coll_stats.chunks;
+            },
+        ),
+        Workload::Moe {
+            tokens,
+            hidden,
+            rounds,
+        } => r.run(
+            members,
+            divergence,
+            &|sim0, sc| {
+                let mut cfg = gaat_dptrain::MoeConfig::new(sc.machine.clone(), tokens, hidden);
+                cfg.rounds = rounds;
+                gaat_dptrain::moe::build_moe_in(sim0, cfg)
+            },
+            &|_, _| {},
+            &|sim, ids, sh, rec| {
+                let r = gaat_dptrain::run_moe(sim, ids, sh);
+                rec.makespan_ns = r.total.as_ns();
+                rec.unit_ns = r.time_per_round.as_ns();
+                rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;
+                rec.coll_chunks = r.dispatch_stats.chunks + r.combine_stats.chunks;
+            },
+        ),
+    };
+    (recs, r.fork)
 }
 
-/// Workload-agnostic body of [`run_group_in`]: `build` constructs the
-/// app world, `start` injects the initial broadcast, and `finish`
-/// drains the run and folds its outcome into the record.
-#[allow(clippy::too_many_arguments)]
-fn run_group_generic<Ids, Sh, B, S, F>(
-    slot: &mut WorldSlot,
-    scenarios: &[Scenario],
-    members: &[usize],
-    divergence: SimTime,
+/// What every run of one unit shares: the worker's slot, the scenario
+/// list, the reuse switch, and the fork counters it accumulates.
+struct Runner<'a> {
+    slot: &'a mut WorldSlot,
+    scenarios: &'a [Scenario],
     reuse: bool,
-    fstats: &mut ForkStats,
-    build: B,
-    start: S,
-    finish: F,
-) -> Vec<ScenarioRecord>
-where
-    B: Fn(Simulation, &Scenario) -> (Simulation, Ids, Sh),
-    S: Fn(&mut Simulation, &Ids),
-    F: Fn(&mut Simulation, &Ids, &Sh, &mut ScenarioRecord),
-{
-    fstats.groups += 1;
-    let t0 = Instant::now();
-    let sc0 = &scenarios[members[0]];
-    let reused_world = reuse && slot.stats().prepared > 0;
-    let sim0 = if reuse {
-        slot.prepare(sc0.machine.clone())
-    } else {
-        Simulation::new(sc0.machine.clone())
-    };
-    let (mut sim, ids, sh) = build(sim0, sc0);
-    let setup_ns = t0.elapsed().as_nanos() as u64;
-    start(&mut sim, &ids);
-    // Events at exactly the divergence instant may already observe the
-    // late fields, so the pause lands one tick before it.
-    sim.run_until(divergence - SimDuration::from_ns(1));
-    let st = Instant::now();
-    let snap = sim.snapshot();
-    let snap_ns = st.elapsed().as_nanos() as u64;
+    fork: ForkStats,
+}
 
-    let finish_branch =
-        |sim: &mut Simulation, sc: &Scenario, setup_ns: u64, reused: bool, bt: Instant| {
+impl Runner<'_> {
+    /// Build the first member's world (`build`) and start it (`start`,
+    /// the initial broadcast). A single (`divergence == None`) finishes
+    /// live. A group runs the shared prefix to just before
+    /// `divergence`, snapshots, finishes the first member live, then
+    /// finishes every other member from a restore of the snapshot with
+    /// its own stochastic fault plan swapped in. `finish` drains a run
+    /// and folds its outcome into the record. If the world declines to
+    /// snapshot, the first member still finishes live (the prefix ran
+    /// under its exact config) and the rest run as singles —
+    /// correctness never depends on the fork succeeding.
+    fn run<Ids, Sh>(
+        &mut self,
+        members: &[usize],
+        divergence: Option<SimTime>,
+        build: &dyn Fn(Simulation, &Scenario) -> (Simulation, Ids, Sh),
+        start: &dyn Fn(&mut Simulation, &Ids),
+        finish: &dyn Fn(&mut Simulation, &Ids, &Sh, &mut ScenarioRecord),
+    ) -> Vec<ScenarioRecord> {
+        let t0 = Instant::now();
+        let sc0 = &self.scenarios[members[0]];
+        let reused_world = self.reuse && self.slot.stats().prepared > 0;
+        let sim0 = if self.reuse {
+            self.slot.prepare(sc0.machine.clone())
+        } else {
+            Simulation::new(sc0.machine.clone())
+        };
+        let (mut sim, ids, sh) = build(sim0, sc0);
+        let setup_ns = ns_since(t0);
+        start(&mut sim, &ids);
+        let snap = divergence.and_then(|d| {
+            self.fork.groups += 1;
+            // Events at exactly the divergence instant may already
+            // observe the late fields, so the pause lands one tick
+            // before it.
+            sim.run_until(d - SimDuration::from_ns(1));
+            let st = Instant::now();
+            let snap = sim.snapshot();
+            if snap.is_some() {
+                self.fork.snapshots_taken += 1;
+                self.fork.snapshot_ns += ns_since(st);
+                self.fork.scenarios_forked += members.len() - 1;
+            } else {
+                self.fork.declined += members.len() - 1;
+            }
+            snap
+        });
+
+        let finish_branch = |sim: &mut Simulation, sc: &Scenario, setup_ns: u64, reused: bool| {
             let mut rec = base_record(sc);
             rec.setup_ns = setup_ns;
             rec.reused_world = reused;
             finish(sim, &ids, &sh, &mut rec);
             seal_record(&mut rec, sim);
-            rec.wall_ns = bt.elapsed().as_nanos() as u64;
             rec
         };
 
-    let mut out = Vec::with_capacity(members.len());
-    match snap {
-        Some(snap) => {
-            fstats.snapshots_taken += 1;
-            fstats.snapshot_ns += snap_ns;
-            fstats.scenarios_forked += members.len() - 1;
-            out.push(finish_branch(&mut sim, sc0, setup_ns, reused_world, t0));
+        let mut out = Vec::with_capacity(members.len());
+        out.push(finish_branch(&mut sim, sc0, setup_ns, reused_world));
+        // A group member's clock stops before the branches take over its
+        // world; a single's also covers parking the world.
+        if divergence.is_some() {
+            out[0].wall_ns = ns_since(t0);
+        }
+        if let Some(snap) = &snap {
             for &m in &members[1..] {
                 let bt = Instant::now();
-                sim.restore(&snap);
-                let restore_ns = bt.elapsed().as_nanos() as u64;
-                fstats.restore_ns += restore_ns;
-                sim.set_stochastic_faults(scenarios[m].machine.faults.clone());
-                out.push(finish_branch(&mut sim, &scenarios[m], restore_ns, true, bt));
-            }
-            if reuse {
-                slot.retire(sim);
+                sim.restore(snap);
+                let restore_ns = ns_since(bt);
+                self.fork.restore_ns += restore_ns;
+                let sc = &self.scenarios[m];
+                sim.set_stochastic_faults(sc.machine.faults.clone());
+                let mut rec = finish_branch(&mut sim, sc, restore_ns, true);
+                rec.wall_ns = ns_since(bt);
+                out.push(rec);
             }
         }
-        None => {
-            fstats.declined += members.len() - 1;
-            out.push(finish_branch(&mut sim, sc0, setup_ns, reused_world, t0));
-            if reuse {
-                slot.retire(sim);
-            }
+        if self.reuse {
+            self.slot.retire(sim);
+        }
+        if divergence.is_none() {
+            out[0].wall_ns = ns_since(t0);
+        }
+        if snap.is_none() {
             for &m in &members[1..] {
-                out.push(run_scenario_in(slot, &scenarios[m], reuse));
+                out.extend(self.run(&[m], None, build, start, finish));
             }
         }
+        out
     }
-    out
 }
 
-fn run_scenario_in(slot: &mut WorldSlot, sc: &Scenario, reuse: bool) -> ScenarioRecord {
-    let t0 = Instant::now();
-    let reused_world = reuse && slot.stats().prepared > 0;
-    let prep = |slot: &mut WorldSlot, m: MachineConfig| {
-        if reuse {
-            slot.prepare(m)
-        } else {
-            Simulation::new(m)
-        }
-    };
+#[cfg(test)]
+mod tests {
+    use super::run_batch;
 
-    let mut rec = base_record(sc);
-    rec.reused_world = reused_world;
-
-    let sim = match sc.workload {
-        Workload::Jacobi { .. } => {
-            let cfg = sc.jacobi_config();
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = charm::build_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let (res, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
-            apply_jacobi_outcome(&mut rec, &sim, res, stalled);
-            sim
+    #[test]
+    fn run_batch_returns_every_result_in_job_order() {
+        let jobs: Vec<usize> = (0..20).collect();
+        for workers in [1, 3] {
+            let (out, slots) = run_batch(&jobs, workers, |_, &i| i * 2);
+            assert_eq!(out, jobs.iter().map(|i| i * 2).collect::<Vec<_>>());
+            assert_eq!(slots.prepared, 0, "no job prepared a world");
         }
-        Workload::Sweep3d {
-            global,
-            sweeps,
-            warmup,
-        } => {
-            let mut cfg = gaat_sweep3d::SweepConfig::new(sc.machine.clone(), global);
-            cfg.odf = sc.odf;
-            cfg.sweeps = sweeps;
-            cfg.warmup = warmup;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_sweep3d::build_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_sweep3d::run(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_sweep.as_ns();
-            sim
-        }
-        Workload::Train { params, steps } => {
-            let mut cfg = gaat_dptrain::TrainConfig::new(sc.machine.clone(), params);
-            cfg.steps = steps;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_dptrain::train::build_train_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_dptrain::run_train(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_step.as_ns();
-            rec.coll_bytes = r.coll_stats.bytes;
-            rec.coll_chunks = r.coll_stats.chunks;
-            sim
-        }
-        Workload::Moe {
-            tokens,
-            hidden,
-            rounds,
-        } => {
-            let mut cfg = gaat_dptrain::MoeConfig::new(sc.machine.clone(), tokens, hidden);
-            cfg.rounds = rounds;
-            let sim0 = prep(slot, cfg.machine.clone());
-            let (mut sim, ids, sh) = gaat_dptrain::moe::build_moe_in(sim0, cfg);
-            rec.setup_ns = t0.elapsed().as_nanos() as u64;
-            let r = gaat_dptrain::run_moe(&mut sim, &ids, &sh);
-            rec.makespan_ns = r.total.as_ns();
-            rec.unit_ns = r.time_per_round.as_ns();
-            rec.coll_bytes = r.dispatch_stats.bytes + r.combine_stats.bytes;
-            rec.coll_chunks = r.dispatch_stats.chunks + r.combine_stats.chunks;
-            sim
-        }
-    };
-
-    seal_record(&mut rec, &sim);
-    if reuse {
-        slot.retire(sim);
     }
-    rec.wall_ns = t0.elapsed().as_nanos() as u64;
-    rec
 }

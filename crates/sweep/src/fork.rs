@@ -84,6 +84,7 @@ pub(crate) enum Unit {
 
 /// The group identity: everything that must be bit-identical for two
 /// scenarios to share an executed prefix.
+#[derive(PartialEq)]
 struct Key {
     workload: Workload,
     odf: usize,
@@ -111,13 +112,6 @@ fn key_of(sc: &Scenario) -> Key {
     }
 }
 
-fn key_eq(a: &Key, b: &Key) -> bool {
-    a.workload == b.workload
-        && a.odf == b.odf
-        && a.placement == b.placement
-        && a.machine == b.machine
-}
-
 /// Analyze `scenarios` (skipping positions where `skip` is set, e.g.
 /// already-completed work on a resumed sweep) into an ordered unit
 /// list. With `fork` off — or for workloads without fork support —
@@ -142,18 +136,15 @@ pub(crate) fn plan(scenarios: &[Scenario], fork: bool, skip: &[bool]) -> Vec<Uni
         if !live(i) {
             continue;
         }
-        // Jacobi and sweep3d implement `Chare::fork`; other workloads
-        // run standalone (their worlds would decline the snapshot
-        // anyway — this just skips the wasted attempt).
-        if !matches!(
-            sc.workload,
-            Workload::Jacobi { .. } | Workload::Sweep3d { .. }
-        ) {
+        // Workloads without `Chare::fork` run standalone (their worlds
+        // would decline the snapshot anyway — this just skips the
+        // wasted attempt).
+        if !sc.workload.forks() {
             singles_first.push(Unit::Single(i));
             continue;
         }
         let k = key_of(sc);
-        match keys.iter().position(|e| key_eq(e, &k)) {
+        match keys.iter().position(|e| *e == k) {
             Some(p) => protos[p].push(i),
             None => {
                 keys.push(k);

@@ -66,6 +66,12 @@ impl Workload {
             Workload::Moe { .. } => "moe",
         }
     }
+
+    /// Whether the app's chares implement `Chare::fork`, so the world
+    /// can snapshot and the planner may group its scenarios.
+    pub fn forks(&self) -> bool {
+        matches!(self, Workload::Jacobi { .. } | Workload::Sweep3d { .. })
+    }
 }
 
 /// A declarative sweep: one template machine and the axes to multiply

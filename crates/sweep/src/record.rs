@@ -2,8 +2,7 @@
 //! JSONL/CSV encodings.
 //!
 //! The JSON here is hand-formatted like the rest of the repo's
-//! `BENCH_*.json` output (the vendored serde is a minimal stand-in, see
-//! `vendor/README.md`).
+//! `BENCH_*.json` output; the workspace has no serialization crate.
 
 use gaat_sim::mix64;
 
@@ -12,7 +11,7 @@ use gaat_sim::mix64;
 /// the wall-clock fields (`wall_ns`, `setup_ns`, `reused_world`) are
 /// measurement metadata and deliberately excluded, so fingerprints are
 /// comparable across worker counts, hosts, and reuse modes.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioRecord {
     /// The scenario's stable grid index.
     pub index: usize,
@@ -190,7 +189,7 @@ impl ScenarioRecord {
 }
 
 /// One aggregate row: records grouped by everything but the seed.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AggregateRow {
     /// Group key.
     pub group: String,

@@ -85,58 +85,86 @@ fn forked_sweeps_match_unforked_and_standalone_at_all_worker_counts() {
     assert_ne!(fps[0], fps[2], "lossy branch must differ from clean");
 }
 
-/// Sweep3d chares are plain data and implement `Chare::fork`, so the
-/// planner now groups sweep3d fault scenarios instead of forcing them
-/// standalone. Forked fingerprints must equal both the unforked sweep
-/// and fresh standalone runs, and the snapshot must actually be taken
-/// (the world no longer declines).
+/// The planner groups exactly the workloads whose chares implement
+/// `Chare::fork` (`Workload::forks`). Sweep3d chares are plain data, so
+/// its fault scenarios form a group and the snapshot must actually be
+/// taken (the world does not decline). The ML proxies do not fork, so a
+/// lossy late-onset Train + MoE grid, which would otherwise be
+/// shareable, must form no group and attempt no snapshot. Either way,
+/// fingerprints must equal both the unforked sweep and fresh standalone
+/// runs.
 #[test]
-fn sweep3d_forks_bit_identically_to_standalone() {
-    let mut machine = MachineConfig::validation(2, 2);
-    machine.faults = FaultPlan {
-        seed: 11,
-        ..FaultPlan::none()
-    };
-    machine.ucx.reliability.enabled = true;
-    let mut grid = ScenarioGrid::new(machine);
-    grid.workloads = vec![Workload::Sweep3d {
+fn only_forking_workloads_form_groups_and_match_standalone() {
+    let sweep3d = Workload::Sweep3d {
         global: Dims::cube(8),
         sweeps: 2,
         warmup: 1,
-    }];
-    grid.odfs = vec![2];
-    grid.drop_rates = vec![0.0, 0.05, 0.1];
-    grid.fault_onsets = vec![t(40)];
-    let scenarios = grid.expand();
-    assert_eq!(scenarios.len(), 3);
+    };
+    let train = Workload::Train {
+        params: 4096,
+        steps: 2,
+    };
+    let moe = Workload::Moe {
+        tokens: 16,
+        hidden: 8,
+        rounds: 2,
+    };
+    // (workloads, groups, scenarios forked)
+    for (workloads, groups, forked_n) in [(vec![sweep3d], 1, 2), (vec![train, moe], 0, 0)] {
+        let mut machine = MachineConfig::validation(2, 2);
+        machine.faults = FaultPlan {
+            seed: 11,
+            ..FaultPlan::none()
+        };
+        machine.ucx.reliability.enabled = true;
+        let mut grid = ScenarioGrid::new(machine);
+        grid.workloads = workloads;
+        grid.odfs = vec![2];
+        grid.drop_rates = vec![0.0, 0.05, 0.1];
+        grid.fault_onsets = vec![t(40)];
+        let scenarios = grid.expand();
+        assert_eq!(scenarios.len(), 3 * grid.workloads.len());
 
-    let mut opts = SweepOptions::new();
-    opts.fork = false;
-    let reference = run_sweep(&scenarios, &opts).expect("no I/O configured");
-    assert_eq!(reference.fork.snapshots_taken, 0);
+        let mut opts = SweepOptions::new();
+        opts.fork = false;
+        let reference = run_sweep(&scenarios, &opts).expect("no I/O configured");
+        assert_eq!(reference.fork.snapshots_taken, 0);
+        // Loss arms inside every run, so the drop axis is live.
+        for (sc, rec) in scenarios.iter().zip(&reference.records) {
+            assert_eq!(sc.drop_rate > 0.0, rec.net_drops > 0, "{}", sc.label());
+        }
 
-    opts.fork = true;
-    for workers in [1, 2] {
-        opts.workers = workers;
-        let forked = run_sweep(&scenarios, &opts).expect("no I/O configured");
-        assert_eq!(
-            forked.fingerprints(),
-            reference.fingerprints(),
-            "sweep3d fork path must be bit-invisible at {workers} workers"
-        );
-        assert_eq!(forked.fork.groups, 1);
-        assert_eq!(forked.fork.snapshots_taken, 1, "world must not decline");
-        assert_eq!(forked.fork.scenarios_forked, 2);
-        assert_eq!(forked.fork.declined, 0);
-    }
+        opts.fork = true;
+        for workers in [1, 2] {
+            opts.workers = workers;
+            let forked = run_sweep(&scenarios, &opts).expect("no I/O configured");
+            assert_eq!(
+                forked.fingerprints(),
+                reference.fingerprints(),
+                "fork path must be bit-invisible at {workers} workers"
+            );
+            assert_eq!(forked.fork.groups, groups);
+            assert_eq!(
+                forked.fork.snapshots_taken, groups,
+                "world must not decline"
+            );
+            assert_eq!(forked.fork.scenarios_forked, forked_n);
+            assert_eq!(forked.fork.declined, 0);
+            assert_eq!(
+                forked.slots.prepared as usize,
+                scenarios.len() - forked_n,
+                "one world per single or group"
+            );
+        }
 
-    for (sc, fp) in scenarios.iter().zip(&reference.fingerprints()) {
-        assert_eq!(
-            run_standalone(sc).fingerprint(),
-            *fp,
-            "sweep record for `{}` differs from a standalone run",
-            sc.label()
-        );
+        for (sc, fp) in scenarios.iter().zip(&reference.fingerprints()) {
+            assert_eq!(
+                run_standalone(sc).fingerprint(),
+                *fp,
+                "sweep record for `{}` differs from a standalone run",
+                sc.label()
+            );
+        }
     }
 }
 

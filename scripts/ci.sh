@@ -77,4 +77,12 @@ echo "==> fault-injection smoke"
 cargo run --release -p gaat-bench --bin fault_smoke
 echo "fault smoke OK"
 
+echo "==> perfbench self-test (smoke)"
+# perfbench is a package of its own outside the workspace, built against
+# the public gaat_sweep / charm / sweep3d / dptrain API; this builds it
+# and runs every BENCHMARK.json workload at smoke size, checking the
+# result contract and the per-layer counters.
+python3 perfbench/selftest.py
+echo "perfbench self-test OK"
+
 echo "CI green"
