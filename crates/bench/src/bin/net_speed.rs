@@ -7,8 +7,8 @@
 //!   fat-tree traffic at a fixed concurrency — the perf baseline for
 //!   future topology changes. Since the incremental solver landed this
 //!   also reports the solver counters (dirty-component histogram,
-//!   touched flows per recompute, rate updates avoided) and the tracked
-//!   speedup over the recorded from-scratch baseline.
+//!   touched flows per recompute, rate updates avoided, fills by scope)
+//!   and the tracked speedup over the recorded from-scratch baseline.
 //! - A congestion ablation: the same Jacobi3D problem under `Flat` vs
 //!   `FatTree` and `Packed` vs `RoundRobin` placement, recording run
 //!   time and the hot-link counters that only the topology model can
@@ -261,9 +261,11 @@ fn main() {
         .collect::<Vec<_>>()
         .join(", ");
     json.push_str(&format!(
-        "  \"solver\": {{\"recomputes\": {}, \"empty_recomputes\": {}, \"touched_flows\": {}, \"touched_links\": {}, \"touched_flows_per_recompute\": {:.2}, \"rate_updates_avoided\": {}, \"dirty_hist\": [{}]}},\n",
+        "  \"solver\": {{\"recomputes\": {}, \"empty_recomputes\": {}, \"full_fills\": {}, \"probe_fills\": {}, \"touched_flows\": {}, \"touched_links\": {}, \"touched_flows_per_recompute\": {:.2}, \"rate_updates_avoided\": {}, \"dirty_hist\": [{}]}},\n",
         churn.solver.recomputes,
         churn.solver.empty_recomputes,
+        churn.solver.full_fills,
+        churn.solver.probe_fills,
         churn.solver.touched_flows,
         churn.solver.touched_links,
         churn.solver.touched_flows_per_recompute(),
@@ -305,8 +307,10 @@ fn main() {
         BASELINE_RATE_UPDATES_PER_SEC,
     );
     println!(
-        "solver         {:>8} empty  {:>8.1} touched-flows/recompute  {:>12} rate-updates avoided  hist [{}]",
+        "solver         {:>8} empty  {:>8} full  {:>8} probe  {:>8.1} touched-flows/recompute  {:>12} rate-updates avoided  hist [{}]",
         churn.solver.empty_recomputes,
+        churn.solver.full_fills,
+        churn.solver.probe_fills,
         churn.solver.touched_flows_per_recompute(),
         churn.solver.rate_updates_avoided,
         SolverStats::HIST_LABELS

@@ -17,8 +17,9 @@
 //! - `fork`: a fault-sweep-shaped grid (drop rate × onset axes that
 //!   diverge late in the timeline) swept fork-off vs fork-on. The
 //!   fingerprints must be identical (exit code 1 on mismatch — the
-//!   fork cell's CI pin); throughput must be >= 2x (throttle-flagged,
-//!   not failed, like the reuse cell).
+//!   fork cell's CI pin); throughput, each arm the median of three
+//!   alternating sweeps, must be >= 2x (throttle-flagged, not failed,
+//!   like the reuse cell).
 //!
 //! Usage: `sweep_speed [--smoke] [--out PATH]`
 
@@ -118,17 +119,37 @@ struct ForkCell {
     fingerprints_match: bool,
 }
 
-/// Sweep the fork grid with prefix memoization off, then on, comparing
-/// fingerprints and throughput.
+/// Sweeps per arm of the fork ablation. The arms alternate, so a slow
+/// spell of the host lands on both, and each arm is timed by its median
+/// sweep.
+const FORK_REPS: usize = 3;
+
+/// Sweep the fork grid with prefix memoization off, then on,
+/// `FORK_REPS` times, comparing fingerprints and median throughput.
 fn fork_ablation(smoke: bool) -> ForkCell {
     let scenarios = fork_grid(smoke).expand();
     let mut opts = SweepOptions::new();
-    opts.fork = false;
-    let nofork = run_sweep(&scenarios, &opts).expect("no sweep I/O configured");
-    opts.fork = true;
-    let fork = run_sweep(&scenarios, &opts).expect("no sweep I/O configured");
-    let nofork_per_sec = scenarios.len() as f64 / nofork.wall.as_secs_f64();
-    let fork_per_sec = scenarios.len() as f64 / fork.wall.as_secs_f64();
+    let mut walls = [Vec::new(), Vec::new()];
+    let mut runs: Vec<SweepReport> = Vec::new();
+    for _ in 0..FORK_REPS {
+        for (arm, fork) in [false, true].into_iter().enumerate() {
+            opts.fork = fork;
+            let report = run_sweep(&scenarios, &opts).expect("no sweep I/O configured");
+            walls[arm].push(report.wall.as_secs_f64());
+            runs.push(report);
+        }
+    }
+    let median = |w: &mut Vec<f64>| {
+        w.sort_by(f64::total_cmp);
+        w[w.len() / 2]
+    };
+    let nofork_per_sec = scenarios.len() as f64 / median(&mut walls[0]);
+    let fork_per_sec = scenarios.len() as f64 / median(&mut walls[1]);
+    let nofork = &runs[0];
+    let fork = &runs[1];
+    let fingerprints_match = runs
+        .iter()
+        .all(|r| r.fingerprints() == nofork.fingerprints());
     ForkCell {
         scenarios: scenarios.len(),
         groups: fork.fork.groups,
@@ -140,7 +161,7 @@ fn fork_ablation(smoke: bool) -> ForkCell {
         nofork_per_sec,
         fork_per_sec,
         speedup: fork_per_sec / nofork_per_sec,
-        fingerprints_match: fork.fingerprints() == nofork.fingerprints(),
+        fingerprints_match,
     }
 }
 

@@ -22,7 +22,7 @@
 //! the from-scratch op sequence bit for bit (see DESIGN.md "Incremental
 //! rate recomputation").
 //!
-//! Two further structural optimizations, both behavior-preserving:
+//! Three further structural optimizations, all behavior-preserving:
 //!
 //! - **Deferred recomputation.** Admits and completions only *seed* the
 //!   dirty set; the actual water-fill runs lazily at the next query
@@ -32,14 +32,18 @@
 //!   the recomputes of one event instant is unobservable — but it halves
 //!   the fill count under churny traffic (complete + re-admit at one
 //!   instant is one fill, not two or three).
+//! - **Fill scope from the measured component.** When a component fill
+//!   finds that changes land in a giant component, later fills skip the
+//!   closure walk and fill every live flow, re-measuring on an
+//!   exponential backoff (see [`Scope`]).
 //! - **Dense/sparse pacing split.** Completion instants live in a lazy
 //!   min-heap keyed by ETA — stale entries (dead flow, or a flow whose
 //!   ETA moved) are skipped on pop — instead of a full live-flow scan
-//!   per recompute. When the dirty component spans most of the fabric
-//!   the heap would see every ETA re-pushed each fill, so the solver
-//!   flips to a dense mode that tracks the minimum ETA with one
-//!   contiguous scan of the flows it already touched and leaves the heap
-//!   empty; the heap is rebuilt on the next sparse fill.
+//!   per recompute. When a fill re-rates most of the live flows the heap
+//!   would see every ETA re-pushed, so the solver flips to a dense mode
+//!   that tracks the minimum ETA with one contiguous scan of the live
+//!   ETAs and leaves the heap empty; the heap is rebuilt on the next
+//!   sparse fill.
 
 use std::collections::BinaryHeap;
 
@@ -54,6 +58,47 @@ pub const EPS_BYTES: f64 = 1e-6;
 /// newly admitted flow is always recorded as changed by its first fill
 /// and gets an ETA projection.
 const RATE_UNSET: f64 = -1.0;
+
+/// Longest run of full-fabric fills between two scope probes (see
+/// [`Scope`]). The run starts at one fill and doubles after every probe
+/// that still finds a giant component.
+pub const PROBE_GAP_CAP: u32 = 64;
+
+/// Fill-scope policy, driven by the measured component. A component
+/// fill measures the closure it walked. When that closure holds at least
+/// half the live flows *and* reaches past the flows on the seed links
+/// themselves, the fabric has a giant component that most changes land
+/// in, and filling every live flow is cheaper than walking it again. A
+/// closure no larger than its seed's own flows measured nothing about
+/// coupling (one burst of admits can seed every live flow), so it never
+/// switches scope. In full scope, a component fill re-measures after
+/// `gap` full fills; the first such probe that finds a small component
+/// ends full scope.
+#[derive(Debug, Clone, Copy, Default)]
+struct Scope {
+    full: bool,
+    /// Full fills left before the next probe.
+    probe_in: u32,
+    /// Current run length: 1, 2, 4, … up to [`PROBE_GAP_CAP`].
+    gap: u32,
+}
+
+impl Scope {
+    /// Record a component fill whose closure reached `reached` of the
+    /// `live` flows, `direct` of them on the seed links themselves.
+    fn measured(&mut self, reached: usize, direct: usize, live: usize) {
+        let giant = 2 * reached >= live && reached > direct;
+        if giant {
+            self.gap = if self.full {
+                (2 * self.gap).min(PROBE_GAP_CAP)
+            } else {
+                1
+            };
+            self.probe_in = self.gap;
+        }
+        self.full = giant;
+    }
+}
 
 /// Cold per-link bookkeeping (stats and occupancy). The water-filling
 /// scratch lives in dense parallel arrays on [`FlowSim`] instead, so the
@@ -132,15 +177,17 @@ pub struct FlowSim {
     /// for any realistic flow count.
     lcu: Vec<[f64; 2]>,
     /// Live-flow count per link, kept out of the cold [`LinkMeta`] so
-    /// the dense build streams over a packed array instead of gathering
+    /// the full build streams over a packed array instead of gathering
     /// through wide structs.
     lactive: Vec<u32>,
     /// Dirty-link scratch, valid when `== epoch`.
     lmark: Vec<u64>,
-    /// Position of the link in the fill's candidate list.
-    cand_pos: Vec<u32>,
+    /// Water-fill round stamp per link: the link is already on this
+    /// round's touched list when `== round`.
+    lround: Vec<u64>,
+    round: u64,
     /// Links with at least one live flow (lazily compacted); lets the
-    /// dense fill seed `unfrozen` from the maintained `active` counters
+    /// full fill seed `unfrozen` from the maintained `active` counters
     /// instead of re-walking every route.
     active_links: Vec<u32>,
     in_active: Vec<bool>,
@@ -175,20 +222,17 @@ pub struct FlowSim {
     heap_live: bool,
     /// A fill is owed before rates/ETAs may next be observed.
     pending: bool,
-    /// Mode predictor: the last fill touched at least half the live
-    /// flows, so the next one skips the closure walk and fills the whole
-    /// fabric (identical result, cheaper bookkeeping).
-    dense: bool,
+    /// Which fills skip the closure walk and fill the whole fabric.
+    scope: Scope,
     // Scratch buffers reused across fills (steady state allocates
     // nothing).
     seed: Vec<u32>,
-    dirty_flows: Vec<u32>,
-    cand: Vec<u32>,
-    cand_share: Vec<f64>,
+    /// Unfrozen flows on the current round's bottleneck.
+    batch: Vec<u32>,
+    cands: Cands,
     changed: Vec<u32>,
     touched: Vec<u32>,
-    emptied: Vec<u32>,
-    /// Cache of `lcap[l] / init_u[l]` from earlier dense fills; valid
+    /// Cache of `lcap[l] / init_u[l]` from earlier full fills; valid
     /// while the link's occupancy still equals `init_u[l]`. Same
     /// operands give the same quotient, so reuse is bit-exact.
     init_u: Vec<u32>,
@@ -226,7 +270,8 @@ impl FlowSim {
             lcu: vec![[0.0; 2]; n],
             lactive: vec![0; n],
             lmark: vec![0; n],
-            cand_pos: vec![0; n],
+            lround: vec![0; n],
+            round: 0,
             active_links: Vec::new(),
             in_active: vec![false; n],
             free: Vec::new(),
@@ -243,14 +288,15 @@ impl FlowSim {
             eta_heap: BinaryHeap::new(),
             heap_live: true,
             pending: false,
-            dense: false,
+            scope: Scope::default(),
             seed: Vec::new(),
-            dirty_flows: Vec::new(),
-            cand: Vec::new(),
-            cand_share: Vec::new(),
+            batch: Vec::new(),
+            cands: Cands {
+                pos: vec![0; n],
+                ..Cands::default()
+            },
             changed: Vec::new(),
             touched: Vec::new(),
-            emptied: Vec::new(),
             init_u: vec![0; n],
             init_share: vec![0.0; n],
             stats: SolverStats::default(),
@@ -493,7 +539,7 @@ impl FlowSim {
         let l = link.0 as usize;
         self.lmeta[l].desc.bw = bw;
         self.lcap[l] = bw / 1e9;
-        // The dense-fill share cache keys on occupancy only; capacity
+        // The full-fill share cache keys on occupancy only; capacity
         // changed, so force a recompute of this link's cached quotient.
         self.init_u[l] = 0;
         self.seed.push(link.0);
@@ -666,7 +712,7 @@ impl FlowSim {
     }
 
     /// Run the deferred incremental water-fill: close the accumulated
-    /// seed under "shares a link" (or, in dense mode, take the whole
+    /// seed under "shares a link" (or, in full scope, take the whole
     /// fabric — identical result), re-run progressive water-filling on
     /// that component only, and re-project the ETAs of exactly the flows
     /// whose rate changed.
@@ -689,7 +735,8 @@ impl FlowSim {
             lcap,
             lcu,
             lmark,
-            cand_pos,
+            lround,
+            round,
             active_links,
             in_active,
             live,
@@ -700,56 +747,54 @@ impl FlowSim {
             eta_heap,
             heap_live,
             seed,
-            dirty_flows,
-            cand,
-            cand_share,
+            batch,
+            cands,
             changed,
             touched,
-            emptied,
             init_u,
             init_share,
+            scope,
             stats,
             ..
         } = self;
         let stride = *stride;
 
-        cand.clear();
-        cand_share.clear();
-        dirty_flows.clear();
+        cands.clear();
 
-        // Dense mode self-perpetuates if entry is judged only by the
-        // last fill's size (a dense fill touches everything by
-        // construction), so exit is decided from the seed instead: the
-        // direct member count of the seeded links upper-bounds how local
-        // the change is. It *under*counts the transitive closure, so
-        // leaving dense demands a strong locality signal (8x), which
-        // also keeps borderline fills from thrashing between modes.
-        let mut dense = self.dense && live_n > 0;
-        if dense {
-            let mut est = 0usize;
-            for &l in seed.iter() {
-                est += lflows[l as usize].len();
-            }
-            if est * 8 < live_n {
-                dense = false;
-            }
+        // Scope choice, from the measured component (see [`Scope`]):
+        // full-fabric fills while the last measurement found a giant
+        // component, with a component-fill probe after every `gap` full
+        // fills. A seed whose links carry no live flow closes over
+        // nothing, so it needs neither a full fill nor a probe.
+        let idle = seed.iter().all(|&l| lactive[l as usize] == 0);
+        let full = scope.full && scope.probe_in > 0 && !idle;
+        let probe = scope.full && !full && !idle;
+        if full {
+            scope.probe_in -= 1;
+            stats.full_fills += 1;
+        } else if probe {
+            stats.probe_fills += 1;
         }
-        let dense = dense;
         let to_freeze;
-        if dense {
-            // Dense mode: the previous fill touched most of the fabric,
-            // so skip the closure walk and fill every live flow. Filling
-            // a superset of components is exact: components don't share
-            // links, so the merged bottleneck sequence interleaves the
-            // per-component sequences without changing any of them. The
-            // per-link unfrozen count over *all* live flows is exactly
-            // the maintained `active` occupancy, so seeding walks the
-            // active-link list instead of every route.
+        if full {
+            // Full-fabric fill: skip the closure walk and fill every
+            // live flow. Filling a superset of components is exact:
+            // components don't share links, so the merged bottleneck
+            // sequence interleaves the per-component sequences without
+            // changing any of them. The per-link unfrozen count over
+            // *all* live flows is exactly the maintained `active`
+            // occupancy, so seeding walks the active-link list instead
+            // of every route.
             seed.clear();
-            cand.resize(active_links.len(), 0);
-            cand_share.resize(active_links.len(), 0.0);
-            let cands = cand.as_mut_slice();
-            let shs = cand_share.as_mut_slice();
+            let na = active_links.len();
+            cands.link.resize(na, 0);
+            cands.share.resize(na, 0.0);
+            cands.key.resize(na, 0.0);
+            let (links, shs, keys) = (
+                &mut cands.link[..],
+                &mut cands.share[..],
+                &mut cands.key[..],
+            );
             let mut cn = 0usize;
             let mut i = 0;
             while i < active_links.len() {
@@ -761,8 +806,9 @@ impl FlowSim {
                     continue;
                 }
                 lcu[l] = [lcap[l], a as f64];
-                cand_pos[l] = cn as u32;
-                cands[cn] = l as u32;
+                cands.pos[l] = cn as u32;
+                links[cn] = l as u32;
+                keys[cn] = tie_key(l);
                 shs[cn] = if init_u[l] == a {
                     init_share[l]
                 } else {
@@ -774,8 +820,9 @@ impl FlowSim {
                 cn += 1;
                 i += 1;
             }
-            cand.truncate(cn);
-            cand_share.truncate(cn);
+            cands.link.truncate(cn);
+            cands.share.truncate(cn);
+            cands.key.truncate(cn);
             to_freeze = live_n;
         } else {
             // Seed the dirty link set with the changed flows' routes.
@@ -784,7 +831,7 @@ impl FlowSim {
                 if lmark[l] != epoch {
                     lmark[l] = epoch;
                     lcu[l] = [lcap[l], 0.0];
-                    cand.push(l as u32);
+                    cands.link.push(l as u32);
                 }
             }
             seed.clear();
@@ -792,13 +839,18 @@ impl FlowSim {
             // and every link on a dirty flow's route is dirty. After
             // this, dirty links carry only dirty flows, so the component
             // water-fills independently of the rest of the fabric.
+            // `direct` counts the flows found on the seed links
+            // themselves, before the walk goes transitive.
+            let nseed = cands.link.len();
+            let mut reached = 0usize;
+            let mut direct = 0usize;
             let mut li = 0;
-            while li < cand.len() {
-                let l = cand[li] as usize;
+            while li < cands.link.len() {
+                let l = cands.link[li] as usize;
                 li += 1;
                 let n = lflows[l].len();
                 // Index form: `lflows[l]` cannot be borrowed across the
-                // loop body (cand/lmark are pushed to inside it).
+                // loop body (cands/lmark are pushed to inside it).
                 #[allow(clippy::needless_range_loop)]
                 for fi in 0..n {
                     let f = lflows[l][fi];
@@ -807,39 +859,46 @@ impl FlowSim {
                         continue;
                     }
                     fmark[i] = epoch;
-                    dirty_flows.push(f);
+                    reached += 1;
+                    direct += (li <= nseed) as usize;
                     let base = i * stride;
                     for &l2 in &route_arena[base..base + route_len[i] as usize] {
                         let l2 = l2 as usize;
                         if lmark[l2] != epoch {
                             lmark[l2] = epoch;
                             lcu[l2] = [lcap[l2], 0.0];
-                            cand.push(l2 as u32);
+                            cands.link.push(l2 as u32);
                         }
                         lcu[l2][1] += 1.0;
                     }
                 }
             }
-            to_freeze = dirty_flows.len();
+            to_freeze = reached;
+            if !idle {
+                scope.measured(to_freeze, direct, live_n);
+            }
         }
 
-        stats.record_component(to_freeze, cand.len(), live_n);
-        self.dense = 2 * to_freeze >= live_n;
+        stats.record_component(to_freeze, cands.link.len(), live_n);
+        // Pacing follows the fill's size: a fill that re-rated most of
+        // the live flows would push most of them onto the heap.
+        let wide = 2 * to_freeze >= live_n;
 
         if to_freeze > 0 {
-            if !dense {
+            if !full {
                 // Candidate shares; links whose flows all completed
-                // drop out. (The dense build filled these in directly.)
+                // drop out. (The full build filled these in directly.)
                 let mut i = 0;
-                while i < cand.len() {
-                    let l = cand[i] as usize;
+                while i < cands.link.len() {
+                    let l = cands.link[i] as usize;
                     let [c, u] = lcu[l];
                     if u == 0.0 {
-                        cand.swap_remove(i);
+                        cands.link.swap_remove(i);
                         continue;
                     }
-                    cand_pos[l] = i as u32;
-                    cand_share.push(c / u);
+                    cands.pos[l] = i as u32;
+                    cands.share.push(c / u);
+                    cands.key.push(tie_key(l));
                     i += 1;
                 }
             }
@@ -850,55 +909,59 @@ impl FlowSim {
             // and per-link the same ordered subtractions, so rates come
             // out bit for bit equal.
             //
-            // The round loop appends to fixed-size scratch through a
-            // cursor instead of `Vec::push`: a push's potential
-            // reallocation forces the compiler to reload every slice
-            // pointer after it, which dominates the inner loop.
+            // The round loop works on slices, and appends to fixed-size
+            // scratch through a cursor instead of `Vec::push`: through
+            // a `&mut Vec` (or after a push's potential reallocation)
+            // the compiler reloads every buffer pointer and length
+            // after each store, which dominates the inner loops.
             if touched.len() < stride * to_freeze {
                 touched.resize(stride * to_freeze, 0);
             }
             if changed.len() < live_n {
                 changed.resize(live_n, 0);
+                batch.resize(live_n, 0);
             }
             let tb = touched.as_mut_slice();
             let cb = changed.as_mut_slice();
+            let bb = batch.as_mut_slice();
+            let (rate, frozen, lcu, lround) = (
+                &mut rate[..],
+                &mut frozen[..],
+                &mut lcu[..],
+                &mut lround[..],
+            );
+            let (route_arena, route_len, lpos) = (&route_arena[..], &route_len[..], &lpos[..]);
+            let rate_live = &mut rate_live[..];
             let mut clen = 0usize;
             let mut left = to_freeze;
-            while left > 0 && !cand.is_empty() {
-                // Bottleneck scan: a packed-double min pass, then the
-                // lowest link id among the ties (ties are rare, so the
-                // second pass is a predictable not-taken branch).
-                let mn = simd_min(&cand_share[..]);
-                let bottleneck = tie_min_id(&cand_share[..], &cand[..], mn);
+            while left > 0 && !cands.link.is_empty() {
+                let (mn, bottleneck) = bottleneck_of(&cands.share, &cands.key);
                 let share = mn.max(0.0);
 
                 // Freeze every unfrozen flow crossing the bottleneck and
-                // subtract its share along its route. Candidate shares
-                // are refreshed once per link at the end of the round —
-                // the intermediate quotients were never read, so the
-                // refresh divides once per touched link. The touched
-                // list may carry duplicates (two frozen flows sharing a
-                // hop); the refresh skips entries whose candidate slot
-                // no longer holds the link.
-                let flist = &lflows[bottleneck as usize];
-                let mut tlen = 0usize;
-                emptied.clear();
-                // Index form keeps `lflows` free for the freeze RMW below.
-                #[allow(clippy::needless_range_loop)]
-                for fi in 0..flist.len() {
-                    let f = flist[fi];
+                // subtract its share along its route, listing each
+                // touched link once per round.
+                *round += 1;
+                let rd = *round;
+                // Collect the bottleneck's unfrozen flows first, branch
+                // free: flows frozen by earlier rounds are common here,
+                // and skipping them with a branch mispredicts.
+                let mut blen = 0usize;
+                for &f in lflows[bottleneck as usize].iter() {
                     let i = f as usize;
-                    if frozen[i] == epoch {
-                        continue;
-                    }
+                    bb[blen] = f;
+                    blen += (frozen[i] != epoch) as usize;
                     frozen[i] = epoch;
-                    left -= 1;
-                    if rate[i] != share {
-                        rate[i] = share;
-                        rate_live[lpos[i] as usize] = share;
-                        cb[clen] = f;
-                        clen += 1;
-                    }
+                }
+                left -= blen;
+                let mut tlen = 0usize;
+                for &f in bb[..blen].iter() {
+                    let i = f as usize;
+                    let old = rate[i];
+                    rate[i] = share;
+                    rate_live[lpos[i] as usize] = share;
+                    cb[clen] = f;
+                    clen += (old != share) as usize;
                     let base = i * stride;
                     for &l in &route_arena[base..base + route_len[i] as usize] {
                         // The bottleneck's own scratch is never read
@@ -907,66 +970,31 @@ impl FlowSim {
                         if l == bottleneck {
                             continue;
                         }
-                        let cl = &mut lcu[l as usize];
-                        // One packed sub/max over [capacity_left,
-                        // unfrozen]: lane 0 clamps at 0.0 exactly like
-                        // the scalar `(c - share).max(0.0)` (no NaNs, and
-                        // c - share is never -0.0); lane 1's clamp at
-                        // -inf is the identity.
-                        #[cfg(target_arch = "x86_64")]
-                        unsafe {
-                            use std::arch::x86_64::*;
-                            let v = _mm_loadu_pd(cl.as_ptr());
-                            let v = _mm_sub_pd(v, _mm_set_pd(1.0, share));
-                            let v = _mm_max_pd(v, _mm_set_pd(f64::NEG_INFINITY, 0.0));
-                            _mm_storeu_pd(cl.as_mut_ptr(), v);
-                        }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        {
-                            cl[0] = (cl[0] - share).max(0.0);
-                            cl[1] -= 1.0;
-                        }
-                        if cl[1] == 0.0 {
-                            emptied.push(l);
-                        }
-                        tb[tlen] = l;
-                        tlen += 1;
+                        let l = l as usize;
+                        sub_share(&mut lcu[l], share);
+                        tb[tlen] = l as u32;
+                        tlen += (lround[l] != rd) as usize;
+                        lround[l] = rd;
                     }
                 }
-                {
-                    let p = cand_pos[bottleneck as usize] as usize;
-                    cand.swap_remove(p);
-                    cand_share.swap_remove(p);
-                    if p < cand.len() {
-                        cand_pos[cand[p] as usize] = p as u32;
-                    }
-                }
-                // Refresh in two passes: drop emptied links first, then
-                // divide. The freeze loop recorded every link whose
-                // unfrozen count crossed zero (it crosses exactly once),
-                // so the removal pass walks that short list instead of
-                // every touched entry. With the structure mutations out
-                // of the way the division pass has no data dependence
-                // between iterations, so the quotients pipeline at
-                // divider throughput. Division results don't feed each
-                // other, so the order is free; removal order only
-                // permutes candidate slots, never the candidate set.
-                for &l in emptied.iter() {
-                    let p = cand_pos[l as usize] as usize;
-                    cand.swap_remove(p);
-                    cand_share.swap_remove(p);
-                    if p < cand.len() {
-                        cand_pos[cand[p] as usize] = p as u32;
-                    }
-                }
-                for &l in tb[..tlen].iter() {
-                    let l = l as usize;
-                    let p = cand_pos[l] as usize;
-                    if p >= cand.len() || cand[p] != l as u32 {
-                        continue;
-                    }
+                // Refresh each touched link's share once. Division
+                // results don't feed each other, so this pass pipelines
+                // at divider throughput. Links whose unfrozen count hit
+                // zero are compacted to the front of the list and leave
+                // the candidate set after it, before their quotient (inf
+                // or NaN) can reach a scan. Removal order only permutes
+                // candidate slots, never the candidate set.
+                cands.remove(bottleneck as usize);
+                let mut elen = 0usize;
+                for j in 0..tlen {
+                    let l = tb[j] as usize;
                     let [c, u] = lcu[l];
-                    cand_share[p] = c / u;
+                    cands.set_share(l, c / u);
+                    tb[elen] = l as u32;
+                    elen += (u == 0.0) as usize;
+                }
+                for &l in tb[..elen].iter() {
+                    cands.remove(l as usize);
                 }
             }
 
@@ -974,10 +1002,10 @@ impl FlowSim {
             // everyone else keeps both rate and ETA (their pacing
             // entries stay valid).
             let settled_at = self.settled_at;
-            if self.dense {
+            if wide {
                 // Dense pacing: the heap would churn one push per flow
-                // per fill here; track the minimum ETA by scanning the
-                // flows this fill already touched instead.
+                // per fill here; track the minimum ETA with one scan of
+                // the live ETAs instead.
                 if *heap_live {
                     eta_heap.clear();
                     *heap_live = false;
@@ -1061,70 +1089,144 @@ impl FlowSim {
     }
 }
 
-/// Lowest id among `ids[i]` where `shares[i] == mn` (IEEE equality, same
-/// as the scalar `==`). On x86-64 this runs as packed compares with a
-/// movemask test per chunk; ties are rare, so the per-chunk branch is a
-/// predictable not-taken jump and the loop streams at load throughput.
+/// Tie-break key of link `l`: exact and positive for every `u32` id,
+/// and larger for lower ids, so the bottleneck scan resolves ties with a
+/// packed max in which +0.0 means "no candidate yet".
 #[inline]
-fn tie_min_id(shares: &[f64], ids: &[u32], mn: f64) -> u32 {
-    debug_assert_eq!(shares.len(), ids.len());
-    let mut best = u32::MAX;
-    let mut i = 0;
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::*;
-        // SSE2 is part of the x86-64 baseline.
-        unsafe {
-            let needle = _mm_set1_pd(mn);
-            while i + 4 <= shares.len() {
-                let a = _mm_loadu_pd(shares.as_ptr().add(i));
-                let b = _mm_loadu_pd(shares.as_ptr().add(i + 2));
-                let m = _mm_movemask_pd(_mm_cmpeq_pd(a, needle))
-                    | (_mm_movemask_pd(_mm_cmpeq_pd(b, needle)) << 2);
-                if m != 0 {
-                    for k in 0..4 {
-                        if m & (1 << k) != 0 {
-                            best = best.min(ids[i + k]);
-                        }
-                    }
-                }
-                i += 4;
-            }
-        }
-    }
-    while i < shares.len() {
-        if shares[i] == mn {
-            best = best.min(ids[i]);
-        }
-        i += 1;
-    }
-    best
+fn tie_key(l: usize) -> f64 {
+    4294967296.0 - l as f64
 }
 
-/// Branch-free minimum over a share slice, shaped so the paired `min`
-/// accumulators compile to packed-double instructions. `min` is exact
-/// and order-free, so the result is the same as a sequential fold.
+/// A fill's water-filling candidate links, struct-of-arrays so the
+/// bottleneck scan streams packed `f64`s.
+#[derive(Debug, Clone, Default)]
+struct Cands {
+    link: Vec<u32>,
+    share: Vec<f64>,
+    /// [`tie_key`] of each candidate, in the same slots.
+    key: Vec<f64>,
+    /// Slot of each candidate link, indexed by link id.
+    pos: Vec<u32>,
+}
+
+impl Cands {
+    fn clear(&mut self) {
+        self.link.clear();
+        self.share.clear();
+        self.key.clear();
+    }
+
+    fn set_share(&mut self, l: usize, x: f64) {
+        let p = self.pos[l] as usize;
+        debug_assert_eq!(self.link[p] as usize, l, "link is a candidate");
+        self.share[p] = x;
+    }
+
+    /// Remove link `l`, moving the last candidate into its slot.
+    fn remove(&mut self, l: usize) {
+        let p = self.pos[l] as usize;
+        self.link.swap_remove(p);
+        self.share.swap_remove(p);
+        self.key.swap_remove(p);
+        if p < self.link.len() {
+            self.pos[self.link[p] as usize] = p as u32;
+        }
+    }
+}
+
+/// Bottleneck of one water-filling round: the minimum share, and the
+/// lowest link id among the candidates holding it, in one pass.
+///
+/// Shares are `c / u` with `u > 0`, so never NaN, and `c >= +0.0`, so
+/// never -0.0: packed `minpd` and the ordered compares are exact, with
+/// no NaN fix-up. Each lane keeps the running minimum and the largest
+/// [`tie_key`] among its holders; a strictly smaller share drops the
+/// lane's key to +0.0 before the max, so no branch depends on ties.
 #[inline]
-fn simd_min(shares: &[f64]) -> f64 {
-    let mut a0 = [f64::INFINITY; 2];
-    let mut a1 = [f64::INFINITY; 2];
-    let mut a2 = [f64::INFINITY; 2];
-    let mut a3 = [f64::INFINITY; 2];
-    let mut it = shares.chunks_exact(8);
-    for c in &mut it {
-        a0 = [a0[0].min(c[0]), a0[1].min(c[1])];
-        a1 = [a1[0].min(c[2]), a1[1].min(c[3])];
-        a2 = [a2[0].min(c[4]), a2[1].min(c[5])];
-        a3 = [a3[0].min(c[6]), a3[1].min(c[7])];
+fn bottleneck_of(shares: &[f64], keys: &[f64]) -> (f64, u32) {
+    debug_assert_eq!(shares.len(), keys.len());
+    let mut mn = f64::INFINITY;
+    let mut best = 0.0f64;
+    // Slots below `done` are folded into `(mn, best)` by the packed pass.
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86-64 baseline; every load reads
+    // inside `shares[i..i + 8]` or `keys[i..i + 8]` with `i + 8 <= len`,
+    // and the stores fill local two-element arrays.
+    let done = unsafe {
+        use std::arch::x86_64::*;
+        /// Fold `(s, d)` into the lane state `(m, b)`.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support SSE2 (part of the x86-64 baseline).
+        #[inline(always)]
+        unsafe fn fold(m: &mut __m128d, b: &mut __m128d, s: __m128d, d: __m128d) {
+            let lt = _mm_cmplt_pd(s, *m);
+            let le = _mm_cmple_pd(s, *m);
+            *m = _mm_min_pd(s, *m);
+            *b = _mm_max_pd(_mm_andnot_pd(lt, *b), _mm_and_pd(le, d));
+        }
+        let mut m = [_mm_set1_pd(f64::INFINITY); 4];
+        let mut b = [_mm_setzero_pd(); 4];
+        let mut i = 0;
+        while i + 8 <= shares.len() {
+            for k in 0..4 {
+                let s = _mm_loadu_pd(shares.as_ptr().add(i + 2 * k));
+                let d = _mm_loadu_pd(keys.as_ptr().add(i + 2 * k));
+                fold(&mut m[k], &mut b[k], s, d);
+            }
+            i += 8;
+        }
+        // The fold is associative, so the accumulators merge pairwise.
+        let [mut m0, mut m1, m2, m3] = m;
+        let [mut b0, mut b1, b2, b3] = b;
+        fold(&mut m0, &mut b0, m2, b2);
+        fold(&mut m1, &mut b1, m3, b3);
+        fold(&mut m0, &mut b0, m1, b1);
+        let mut ms = [0.0f64; 2];
+        let mut bs = [0.0f64; 2];
+        _mm_storeu_pd(ms.as_mut_ptr(), m0);
+        _mm_storeu_pd(bs.as_mut_ptr(), b0);
+        for (&s, &d) in ms.iter().zip(bs.iter()) {
+            if s < mn || (s == mn && d > best) {
+                mn = s;
+                best = d;
+            }
+        }
+        i
+    };
+    for (&s, &d) in shares[done..].iter().zip(keys[done..].iter()) {
+        if s < mn || (s == mn && d > best) {
+            mn = s;
+            best = d;
+        }
     }
-    let mut mn = a0[0]
-        .min(a0[1])
-        .min(a1[0].min(a1[1]))
-        .min(a2[0].min(a2[1]).min(a3[0].min(a3[1])));
-    for &s in it.remainder() {
-        mn = mn.min(s);
+    (mn, (tie_key(0) - best) as u32)
+}
+
+/// `[capacity_left, unfrozen]` after freezing one flow at `share`: the
+/// capacity clamps at 0.0 exactly like the scalar `(c - share).max(0.0)`
+/// (no NaNs, and `c - share` is never -0.0), the count drops by one.
+#[inline]
+fn sub_share(cl: &mut [f64; 2], share: f64) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86-64 baseline, and the unaligned
+    // load and store stay inside the two-lane array `cl`.
+    unsafe {
+        use std::arch::x86_64::*;
+        let v = _mm_loadu_pd(cl.as_ptr());
+        let v = _mm_sub_pd(v, _mm_set_pd(1.0, share));
+        // Lane 1's clamp at -inf is the identity.
+        let v = _mm_max_pd(v, _mm_set_pd(f64::NEG_INFINITY, 0.0));
+        _mm_storeu_pd(cl.as_mut_ptr(), v);
     }
-    mn
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        cl[0] = (cl[0] - share).max(0.0);
+        cl[1] -= 1.0;
+    }
 }
 
 /// Completion instant of a flow with `remaining` bytes at `rate`,
@@ -1138,5 +1240,46 @@ fn project_eta(remaining: f64, rate: f64, settled_at: SimTime) -> SimTime {
         debug_assert!(rate > 0.0, "live flow with zero rate");
         let ns = (remaining / rate).ceil().max(1.0) as u64;
         settled_at + SimDuration::from_ns(ns)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{bottleneck_of, tie_key};
+
+    /// The packed scan picks the scalar rule's bottleneck, the minimum
+    /// share with ties to the lowest link id, for every slot order and
+    /// every length remainder the packed pass leaves to the tail.
+    #[test]
+    fn bottleneck_scan_matches_scalar_rule() {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for n in 1..40usize {
+            for _ in 0..50 {
+                let mut ids: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+                for i in (1..n).rev() {
+                    ids.swap(i, next() as usize % (i + 1));
+                }
+                // Shares from a small set, so ties are common.
+                let shares: Vec<f64> = (0..n).map(|_| 1.5 / (1 + next() % 4) as f64).collect();
+                let keys: Vec<f64> = ids.iter().map(|&l| tie_key(l as usize)).collect();
+                let want =
+                    ids.iter()
+                        .zip(&shares)
+                        .fold((f64::INFINITY, u32::MAX), |(m, b), (&id, &s)| {
+                            if s < m || (s == m && id < b) {
+                                (s, id)
+                            } else {
+                                (m, b)
+                            }
+                        });
+                assert_eq!(bottleneck_of(&shares, &keys), want, "n = {n}");
+            }
+        }
     }
 }

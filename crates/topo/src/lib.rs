@@ -16,7 +16,7 @@ mod fattree;
 mod flow;
 
 pub use fattree::{FatTreeGraph, FatTreeParams, RouteInfo, RouteTable};
-pub use flow::{FlowSim, EPS_BYTES};
+pub use flow::{FlowSim, EPS_BYTES, PROBE_GAP_CAP};
 
 /// Counters of the incremental max-min solver, accumulated over a
 /// [`FlowSim`]'s lifetime. One *recompute* is the dirty-set closure plus
@@ -39,6 +39,12 @@ pub struct SolverStats {
     /// summed over recomputes — the work a from-scratch solver would
     /// have redone.
     pub rate_updates_avoided: u64,
+    /// Recomputes that skipped the closure walk and water-filled every
+    /// live flow, because the measured component was giant.
+    pub full_fills: u64,
+    /// Component fills run in full scope to re-measure the component
+    /// (the rest of the component fills are outside full scope).
+    pub probe_fills: u64,
     /// Histogram of dirty-component sizes (flows per recompute), in
     /// buckets `0, 1, 2-3, 4-7, 8-15, 16-31, 32-63, >=64`.
     pub dirty_hist: [u64; 8],

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 
 use gaat_sim::{SimDuration, SimTime};
-use gaat_topo::{FlowSim, LinkDesc, LinkId, LinkKind, EPS_BYTES};
+use gaat_topo::{FlowSim, LinkDesc, LinkId, LinkKind, EPS_BYTES, PROBE_GAP_CAP};
 
 // ---------------------------------------------------------------------------
 // Reference model
@@ -199,6 +199,17 @@ impl RefSim {
         if completed {
             self.pending = true;
         }
+    }
+
+    /// Change a link's capacity: drain at the old rates, then refill at
+    /// the next query, like `FlowSim::set_link_bw`.
+    fn set_link_bw(&mut self, now: SimTime, link: usize, bw: f64) {
+        if self.pending && now > self.settled_at {
+            self.refill();
+        }
+        self.settle(now);
+        self.caps[link] = bw / 1e9;
+        self.pending = true;
     }
 
     fn next_wakeup(&mut self) -> Option<SimTime> {
@@ -468,5 +479,220 @@ fn disjoint_component_not_refilled() {
     assert_eq!(
         s1.rate_updates_avoided - s0.rate_updates_avoided,
         (n - 1) as u64
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Fill scope
+// ---------------------------------------------------------------------------
+
+/// Admit the same flow to both solvers.
+fn start_both(
+    fs: &mut FlowSim,
+    rf: &mut RefSim,
+    now: SimTime,
+    route: &[usize],
+    bytes: f64,
+    token: u64,
+) {
+    let ids: Vec<LinkId> = route.iter().map(|&l| LinkId(l as u32)).collect();
+    fs.start(now, &ids, bytes, token);
+    rf.start(now, route, bytes, token);
+}
+
+/// Change one link's capacity in both solvers, then compare them.
+fn set_bw_both(fs: &mut FlowSim, rf: &mut RefSim, now: SimTime, link: usize, bw: f64) {
+    fs.set_link_bw(now, LinkId(link as u32), bw);
+    rf.set_link_bw(now, link, bw);
+    assert_same_state(
+        fs,
+        rf,
+        &format!("after bw change on link {link} at {now:?}"),
+    );
+}
+
+/// Hop both solvers to the next completion instant and compare the
+/// batches; returns the instant and the batch, or `None` when nothing
+/// is live.
+fn hop_both(fs: &mut FlowSim, rf: &mut RefSim) -> Option<(SimTime, Vec<u64>)> {
+    let w = fs.next_wakeup();
+    assert_eq!(w, rf.next_wakeup(), "wakeup");
+    let w = w?;
+    let (mut d1, mut d2) = (Vec::new(), Vec::new());
+    fs.advance(w, &mut d1);
+    rf.advance(w, &mut d2);
+    assert_eq!(d1, d2, "completion batch at {w:?}");
+    Some((w, d1))
+}
+
+/// Private links `0..n` (capacities around the hub's fair share, so
+/// every flow's rate depends on every private link) and the hub link
+/// `n`.
+fn hub_links(n: usize, extra: usize) -> Vec<LinkDesc> {
+    let mut links: Vec<LinkDesc> = (0..n)
+        .map(|i| LinkDesc {
+            kind: LinkKind::NicUp,
+            bw: 0.25e9 * (1 + i % 4) as f64,
+        })
+        .collect();
+    links.push(LinkDesc {
+        kind: LinkKind::LeafUp,
+        bw: 8.0e9,
+    });
+    links.extend((0..extra).map(|_| LinkDesc {
+        kind: LinkKind::NicDown,
+        bw: 1.0e9,
+    }));
+    links
+}
+
+/// Every flow crosses one shared hub link plus its own private link,
+/// and the churn is capacity changes on the private links: each change
+/// seeds one flow, but its closure is every live flow. The solver must
+/// measure that and move to full-fabric fills, while rates, ETAs and
+/// completion batches stay equal to the from-scratch reference.
+#[test]
+fn hub_link_moves_to_full_fills() {
+    let n = 16;
+    let hub = n;
+    let links = hub_links(n, 0);
+    let mut fs = FlowSim::new(links.clone());
+    let mut rf = RefSim::new(&links);
+    let mut now = SimTime::ZERO;
+    for i in 0..n {
+        start_both(
+            &mut fs,
+            &mut rf,
+            now,
+            &[i, hub],
+            4.0e5 * (1 + i % 5) as f64,
+            i as u64,
+        );
+    }
+    assert_same_state(&mut fs, &mut rf, "after admits");
+    let warm = fs.solver_stats();
+
+    let steps = 400u64;
+    for step in 0..steps {
+        now += SimDuration::from_ns(500);
+        let l = (step as usize * 7) % n;
+        let bw = 0.2e9 * (1 + (step * 5) % 7) as f64;
+        set_bw_both(&mut fs, &mut rf, now, l, bw);
+    }
+    let churn = fs.solver_stats();
+    let fills = churn.recomputes - warm.recomputes;
+    let full = churn.full_fills - warm.full_fills;
+    assert_eq!(fills, steps, "one fill per capacity change");
+    assert!(
+        full * 10 >= fills * 9,
+        "full fills dominate: {full} of {fills}"
+    );
+    assert!(
+        churn.probe_fills > warm.probe_fills,
+        "full scope re-measures"
+    );
+
+    // Drain: completions seed the hub itself, and every batch still
+    // matches the reference.
+    let mut done = 0;
+    while let Some((_, batch)) = hop_both(&mut fs, &mut rf) {
+        done += batch.len();
+    }
+    assert_eq!(done, n);
+}
+
+/// Once the hub traffic drains and only disjoint singletons remain, the
+/// next probe finds a small component, and the solver is back on
+/// component fills within `PROBE_GAP_CAP` full fills.
+#[test]
+fn regime_change_returns_to_component_fills() {
+    let n = 16;
+    let hub = n;
+    let singles = 8;
+    let links = hub_links(n, singles);
+    let mut fs = FlowSim::new(links.clone());
+    let mut rf = RefSim::new(&links);
+    let mut now = SimTime::ZERO;
+    for i in 0..n {
+        start_both(&mut fs, &mut rf, now, &[i, hub], 2.0e5, i as u64);
+    }
+    for j in 0..singles {
+        start_both(
+            &mut fs,
+            &mut rf,
+            now,
+            &[hub + 1 + j],
+            1.0e12,
+            100 + j as u64,
+        );
+    }
+    assert_same_state(&mut fs, &mut rf, "after admits");
+
+    // Hub churn long enough for the probe gap to reach its cap.
+    for step in 0..200u64 {
+        now += SimDuration::from_ns(100);
+        let l = (step as usize * 7) % n;
+        set_bw_both(
+            &mut fs,
+            &mut rf,
+            now,
+            l,
+            0.2e9 * (1 + (step * 5) % 7) as f64,
+        );
+    }
+    assert!(
+        fs.solver_stats().full_fills > 0,
+        "hub churn reached full scope"
+    );
+
+    // Drain the hub flows; the singletons are far from done.
+    let mut hub_done = 0;
+    while hub_done < n {
+        let (at, batch) = hop_both(&mut fs, &mut rf).expect("hub flows still live");
+        now = at;
+        assert!(batch.iter().all(|&t| t < n as u64), "only hub flows finish");
+        hub_done += batch.len();
+    }
+    assert_eq!(fs.active_flows(), singles);
+
+    // Singleton churn: full fills until the next probe, then component
+    // fills that touch only the changed flow.
+    let s0 = fs.solver_stats();
+    let mut back_after = None;
+    for step in 0..(2 * PROBE_GAP_CAP as u64 + 8) {
+        now += SimDuration::from_ns(100);
+        let j = step as usize % singles;
+        let before = fs.solver_stats();
+        set_bw_both(
+            &mut fs,
+            &mut rf,
+            now,
+            hub + 1 + j,
+            0.5e9 * (1 + step % 3) as f64,
+        );
+        let after = fs.solver_stats();
+        if after.full_fills == before.full_fills && back_after.is_none() {
+            back_after = Some(after.full_fills - s0.full_fills);
+        }
+        if back_after.is_some() {
+            assert_eq!(
+                after.full_fills, before.full_fills,
+                "stays on component fills"
+            );
+            assert_eq!(
+                after.touched_flows - before.touched_flows,
+                1,
+                "only the changed flow"
+            );
+        }
+    }
+    let full_run = back_after.expect("solver returned to component fills");
+    assert!(
+        full_run > 0,
+        "the solver was still in full scope after the drain"
+    );
+    assert!(
+        full_run <= PROBE_GAP_CAP as u64,
+        "{full_run} full fills before the probe"
     );
 }

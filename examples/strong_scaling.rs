@@ -16,20 +16,27 @@ use gaat::jacobi3d::{run_charm_in, run_mpi_in, CommMode, Dims, JacobiConfig};
 use gaat::rt::MachineConfig;
 use gaat::sweep::run_batch;
 
+/// The `--topology` value, `flat` when the flag is absent. A missing or
+/// unknown value is an error naming the valid ones.
+fn topology(args: &[String]) -> Result<&str, String> {
+    let Some(i) = args.iter().position(|a| a == "--topology") else {
+        return Ok("flat");
+    };
+    match args.get(i + 1).map(String::as_str) {
+        Some(v @ ("flat" | "fattree")) => Ok(v),
+        Some(v) if !v.starts_with("--") => Err(format!(
+            "unknown --topology value {v:?}; valid: flat|fattree"
+        )),
+        _ => Err("--topology needs a value: flat|fattree".to_string()),
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let topology = match args.iter().position(|a| a == "--topology") {
-        Some(i) => args
-            .get(i + 1)
-            .map(|s| s.as_str())
-            .unwrap_or("flat")
-            .to_string(),
-        None => "flat".to_string(),
-    };
-    assert!(
-        topology == "flat" || topology == "fattree",
-        "--topology must be `flat` or `fattree`"
-    );
+    let topology = topology(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    });
     let max_nodes: usize = args
         .iter()
         .find(|a| !a.starts_with("--") && a.chars().all(|c| c.is_ascii_digit()))
