@@ -122,6 +122,17 @@ fn pe_failure_recovers_from_checkpoints() {
     assert!(r.total > r0.total, "{} vs {}", r.total, r0.total);
     assert_quiesced(&sim);
     charm::validate_against_reference(&sim, &ids, &sh);
+    // Recovery golden: the rollback path (teardown, refugee placement,
+    // restore, resume broadcast) must replay bit for bit.
+    assert_eq!(r.total.as_ns(), 1_255_336);
+    assert_eq!(r.entries, 375);
+    assert_eq!(st.migrations, 2);
+    assert_eq!(st.chares_restored, 8);
+    assert_eq!(st.checkpoints_stored, 32);
+    assert_eq!(
+        r.checksum.map(f64::to_bits),
+        Some(4_672_450_907_109_998_747)
+    );
 }
 
 #[test]
