@@ -199,33 +199,6 @@ fn sanity_pin() -> (bool, bool, bool) {
     (ring, tree, moe)
 }
 
-/// Splice the `coll_speed` object into an existing BENCH_net.json
-/// (written by net_speed), replacing any previous `coll_speed` block —
-/// it is always the last key — or creating the file from scratch.
-fn merge_into(path: &str, obj: &str) -> String {
-    let head = match std::fs::read_to_string(path) {
-        Ok(s) => {
-            let mut s = s.trim_end().to_string();
-            assert!(s.ends_with('}'), "{path} is not a JSON object");
-            s.truncate(s.len() - 1);
-            if let Some(i) = s.find("\"coll_speed\"") {
-                s.truncate(i);
-            }
-            let mut t = s.trim_end().to_string();
-            if t.ends_with(',') {
-                t.pop();
-            }
-            if t == "{" {
-                "{\n".to_string()
-            } else {
-                format!("{t},\n")
-            }
-        }
-        Err(_) => "{\n".to_string(),
-    };
-    format!("{head}  \"coll_speed\": {obj}\n}}\n")
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -339,7 +312,7 @@ fn main() {
             ""
         }
     );
-    let json = merge_into(&out, &obj);
+    let json = gaat_bench::merge_block(&out, "coll_speed", &obj);
     std::fs::write(&out, json).expect("write BENCH_net.json");
     println!("wrote {out}");
     if !pin_pass {

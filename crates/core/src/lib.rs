@@ -84,7 +84,7 @@ pub mod sdag;
 pub mod slot;
 
 pub use channel::{create_channel, ChannelEnd};
-pub use ckpt::ChareSnapshot;
+pub use ckpt::{ChareSnapshot, RollbackError};
 pub use config::{LbConfig, LbPolicy, MachineConfig, RtCosts};
 pub use lb::{greedy_rebalance, periodic_plan, LbPlan, LbSensors, RebalanceReport};
 pub use machine::{Chare, Ctx, LbStats, Machine, MachineStats, Simulation, WorldSnapshot};

@@ -17,6 +17,7 @@ use gaat_net::{Fabric, NetHost, NetMsg, NodeId, SharedTopology};
 use gaat_sim::{RunOutcome, Sim, SimDuration, SimRng, SimTime, Tracer};
 use gaat_ucx::{MemLoc, UcxEvent, UcxHost, UcxState, WorkerId};
 
+use crate::ckpt::{CkptStore, RollbackError};
 use crate::config::{LbPolicy, MachineConfig};
 use crate::msg::{Callback, ChareId, Envelope};
 use crate::pe::Pe;
@@ -383,10 +384,9 @@ pub struct Machine {
     /// lookups stay strict (panic on unknown ids) while this is 0 and
     /// tolerate post-purge stragglers afterwards.
     incarnation: u64,
-    /// Buddy-held snapshots per chare: up to the last two epochs in
-    /// ascending order, each tagged with the PE whose memory holds it.
-    ckpts: HashMap<ChareId, Vec<(u64, usize, crate::ckpt::ChareSnapshot)>>,
-    /// Broadcast issued after every recovery to restart the application.
+    /// Buddy-held snapshots, indexed by chare id.
+    ckpts: CkptStore,
+    /// Broadcast issued after every rollback to restart the application.
     recovery_resume: Option<(Vec<ChareId>, crate::msg::EntryId)>,
     /// Root RNG (split per subsystem at construction).
     pub rng: SimRng,
@@ -453,7 +453,7 @@ impl Machine {
             deferred_free: Vec::new(),
             pe_alive: vec![true; pes],
             incarnation: 0,
-            ckpts: HashMap::new(),
+            ckpts: CkptStore::default(),
             recovery_resume: None,
             rng,
             tracer: if cfg.trace {
@@ -481,9 +481,10 @@ impl Machine {
         self.incarnation
     }
 
-    /// Register the entry broadcast to `targets` after every recovery
-    /// (refnum = the recovery epoch). Applications that arm PE failures
-    /// must call this during setup.
+    /// Register the entry broadcast to `targets` after every rollback
+    /// (PE-failure recovery or an applied LB plan; refnum = the cut
+    /// epoch). Applications that arm PE failures or the balancer must
+    /// call this during setup; without it every rollback declines.
     pub fn set_recovery_resume(&mut self, targets: Vec<ChareId>, entry: crate::msg::EntryId) {
         self.recovery_resume = Some((targets, entry));
     }
@@ -569,12 +570,25 @@ impl Machine {
         let Some(plan) = plan else {
             return;
         };
+        // Apply through the rollback path. In-flight messages need no
+        // forwarding: anything the fabric still delivers afterwards is
+        // dropped as a stale token. An incomplete cut declines the round
+        // with the world untouched; a later round catches a complete wave.
         let t0 = std::time::Instant::now();
-        if self.lb_apply(sim, &plan.moves) {
+        if self.rollback(sim, &plan.moves).is_ok() {
             self.lb_stats.applied += 1;
             self.lb_stats.migrations += plan.moves.len() as u64;
             self.lb_stats.last_util_before = heat.max_link_utilization;
             self.lb_await_after = true;
+            // Migration marker in the trace (one dedicated lane above
+            // the per-PE lanes).
+            self.tracer.record(
+                self.pes.len() as u32,
+                "lb",
+                "migrate",
+                now,
+                now + SimDuration::from_ns(1),
+            );
         } else {
             self.lb_stats.declined += 1;
         }
@@ -615,45 +629,28 @@ impl Machine {
         crate::lb::periodic_plan(&sensors, &self.cfg.lb)
     }
 
-    /// Execute a migration plan mid-run through the checkpoint/restore
-    /// path (the recovery machinery, minus the dead PE): purge every
-    /// layer's in-flight state, move the chares, restore all chares
-    /// from the newest collectively-held epoch, and broadcast the
-    /// registered resume entry. In-flight messages need no explicit
-    /// forwarding: anything the fabric still delivers afterwards is
-    /// dropped as a stale token, and the reliable transport's purge
-    /// guarantees the application sees a consistent restart. Returns
-    /// `false` — decline, leaving the world untouched — when the
-    /// application has not published the preconditions (a resume entry
-    /// plus a complete checkpoint cut).
-    fn lb_apply(&mut self, sim: &mut Sim<Machine>, moves: &[(ChareId, usize)]) -> bool {
-        if self.recovery_resume.is_none() || self.chares.is_empty() {
-            return false;
-        }
-        let mut epoch = u64::MAX;
-        for c in 0..self.chares.len() {
-            match self.ckpts.get(&ChareId(c)).and_then(|s| s.last()) {
-                Some(&(e, _, _)) => epoch = epoch.min(e),
-                None => return false,
-            }
-        }
-        // Asynchronous execution lets chares drift further apart than
-        // the two retained checkpoint epochs, so a chare may hold
-        // nothing at or before the collective cut. Resolve the whole
-        // cut up front and decline — before touching any state — if it
-        // is incomplete; a later round will catch a complete wave.
-        let mut snaps = Vec::with_capacity(self.chares.len());
-        for c in 0..self.chares.len() {
-            match self.ckpts[&ChareId(c)]
-                .iter()
-                .rev()
-                .find(|&&(e, _, _)| e <= epoch)
-            {
-                Some((_, _, s)) => snaps.push(s.clone()),
-                None => return false,
-            }
-        }
+    /// Global rollback, shared by PE-failure recovery and the load
+    /// balancer: resolve the checkpoint cut, then purge every layer's
+    /// in-flight state, apply `moves`, restore every chare from the cut
+    /// in id order, and broadcast the registered resume entry with the
+    /// cut epoch as refnum. Returns that epoch. Declines with the world
+    /// untouched — nothing is purged, moved or counted — when no resume
+    /// entry is registered or some chare holds no snapshot at or before
+    /// the cut.
+    fn rollback(
+        &mut self,
+        sim: &mut Sim<Machine>,
+        moves: &[(ChareId, usize)],
+    ) -> Result<u64, RollbackError> {
+        let (targets, entry) = self
+            .recovery_resume
+            .clone()
+            .ok_or(RollbackError::NoResumeEntry)?;
+        let (epoch, snaps) = self.ckpts.cut()?;
         self.incarnation += 1;
+        // Communication layer first: cancel its retry timers, forget all
+        // in-flight transfers and routes. Anything the fabric still
+        // delivers afterwards is dropped as a stale token.
         for timer in self.ucx.purge() {
             sim.cancel(timer);
         }
@@ -661,14 +658,17 @@ impl Machine {
         self.am_store.clear();
         self.ucx_routes.clear();
         self.reductions.clear();
-        // Void parked deferred payloads in place; each voided slot's
-        // already-scheduled event reclaims it (see `run_deferred`).
+        // Void parked deferred payloads in place. The free list is NOT
+        // touched: each voided slot's already-scheduled event reclaims it
+        // when it fires (see `run_deferred`).
         for slot in &mut self.deferred {
             *slot = None;
         }
         let now = sim.now();
         for pe in 0..self.pes.len() {
             self.pes[pe].clear();
+            // Purge live devices too: in-flight kernels from before the
+            // rollback must not apply their effects to restored buffers.
             self.devices[pe].purge(now);
         }
         for &(c, pe) in moves {
@@ -677,28 +677,16 @@ impl Machine {
         for (c, snap) in snaps.into_iter().enumerate() {
             self.chares[c]
                 .as_mut()
-                .expect("chare resident during LB apply")
+                .expect("chare resident during rollback")
                 .restore(snap);
             self.stats.chares_restored += 1;
         }
-        // Migration marker in the trace (one dedicated lane above the
-        // per-PE lanes).
-        self.tracer.record(
-            self.pes.len() as u32,
-            "lb",
-            "migrate",
-            now,
-            now + SimDuration::from_ns(1),
-        );
-        let (targets, entry) = self.recovery_resume.clone().expect("checked above");
         self.broadcast(sim, &targets, entry, epoch);
-        true
+        Ok(epoch)
     }
 
-    /// Accept one copy of a chare snapshot into `stored_on`'s memory.
-    /// Epochs older than the newest two are discarded: keeping two
-    /// guarantees a collectively complete cut survives a failure that
-    /// lands mid-checkpoint-wave.
+    /// Accept one copy of a chare snapshot into `stored_on`'s memory
+    /// (see [`crate::ckpt::CkptStore::store`] for retention).
     fn store_ckpt_copy(
         &mut self,
         chare: ChareId,
@@ -707,45 +695,7 @@ impl Machine {
         snap: crate::ckpt::ChareSnapshot,
     ) {
         self.stats.checkpoints_stored += 1;
-        // Recovery and the balancer restore from the newest epoch every
-        // chare holds (the global cut). Asynchrony lets fast chares run
-        // several epochs ahead of a straggler, so pruning to the newest
-        // two alone would evict the cut from the fast chares' stores.
-        // Clamp pruning so each chare also keeps its newest epoch at or
-        // below the cut; retention stays bounded by the drift the
-        // application's dependences allow.
-        let global_cut = (0..self.chares.len())
-            .map(|c| {
-                let newest = self
-                    .ckpts
-                    .get(&ChareId(c))
-                    .and_then(|s| s.last())
-                    .map_or(0, |&(e, _, _)| e);
-                if ChareId(c) == chare {
-                    newest.max(epoch)
-                } else {
-                    newest
-                }
-            })
-            .min()
-            .unwrap_or(0);
-        let slots = self.ckpts.entry(chare).or_default();
-        slots.retain(|&(e, on, _)| !(e == epoch && on == stored_on));
-        slots.push((epoch, stored_on, snap));
-        slots.sort_by_key(|&(e, on, _)| (e, on));
-        let mut epochs: Vec<u64> = slots.iter().map(|&(e, _, _)| e).collect();
-        epochs.dedup();
-        if epochs.len() > 2 {
-            let newest_two = epochs[epochs.len() - 2];
-            let held_cut = epochs
-                .iter()
-                .rev()
-                .find(|&&e| e <= global_cut)
-                .copied()
-                .unwrap_or(0);
-            let cutoff = newest_two.min(held_cut);
-            slots.retain(|&(e, _, _)| e >= cutoff);
-        }
+        self.ckpts.store(chare, epoch, stored_on, snap);
     }
 
     /// Next live PE after `pe` in ring order: the buddy that holds its
@@ -772,55 +722,15 @@ impl Machine {
         sim.after_call1(self.cfg.faults.detection_delay, recover_fire, pe as u64);
     }
 
-    /// Global rollback recovery after `failed` died (the restart half of
-    /// double in-memory checkpointing): tear down every layer's in-flight
-    /// state, re-place the dead PE's chares onto live PEs, restore all
-    /// chares from the newest collectively-held epoch, and broadcast the
-    /// registered resume entry.
+    /// Recovery after `failed` died (the restart half of double
+    /// in-memory checkpointing): its snapshot copies died with it; re-place
+    /// its chares onto live PEs, heaviest first onto the least-loaded live
+    /// PE (the greedy-LB rule, restricted to the refugees), and roll back.
+    /// With no complete surviving cut the world is left as it is: the
+    /// surviving chares run until they block and the run drains as a
+    /// stall (`pe_failures > recoveries`).
     fn recover(&mut self, sim: &mut Sim<Machine>, failed: usize) {
-        self.stats.recoveries += 1;
-        self.incarnation += 1;
-        // Communication layer first: cancel its retry timers, forget all
-        // in-flight transfers and routes. Anything the fabric still
-        // delivers afterwards is dropped as a stale token.
-        for timer in self.ucx.purge() {
-            sim.cancel(timer);
-        }
-        self.tag_routes.clear();
-        self.am_store.clear();
-        self.ucx_routes.clear();
-        self.reductions.clear();
-        // Void parked deferred payloads in place. The free list is NOT
-        // touched: each voided slot's already-scheduled event reclaims it
-        // when it fires (see `run_deferred`).
-        for slot in &mut self.deferred {
-            *slot = None;
-        }
-        let now = sim.now();
-        for pe in 0..self.pes.len() {
-            self.pes[pe].clear();
-            // Purge live devices too: in-flight kernels from before the
-            // rollback must not apply their effects to restored buffers.
-            self.devices[pe].purge(now);
-        }
-        // Snapshots held in the failed PE's memory died with it.
-        for slots in self.ckpts.values_mut() {
-            slots.retain(|&(_, on, _)| on != failed);
-        }
-        // Recovery epoch: the newest epoch every chare can restore.
-        let epoch = (0..self.chares.len())
-            .map(|c| {
-                self.ckpts
-                    .get(&ChareId(c))
-                    .and_then(|s| s.last())
-                    .map(|&(e, _, _)| e)
-                    .unwrap_or_else(|| panic!("chare {c} has no surviving checkpoint"))
-            })
-            .min()
-            .expect("machine has chares");
-        // Re-place chares stranded on the dead PE: heaviest first onto
-        // the least-loaded live PE (the greedy-LB rule, restricted to
-        // the refugees).
+        self.ckpts.drop_pe(failed);
         let mut pe_load = vec![0u64; self.pes.len()];
         for c in 0..self.chares.len() {
             let pe = self.chare_pe[c];
@@ -832,35 +742,22 @@ impl Machine {
             .filter(|&c| !self.pe_alive[self.chare_pe[c]])
             .collect();
         refugees.sort_by(|&a, &b| self.chare_load[b].cmp(&self.chare_load[a]).then(a.cmp(&b)));
+        let mut moves = Vec::with_capacity(refugees.len());
         for c in refugees {
-            let (target, _) = pe_load
+            let Some((target, _)) = pe_load
                 .iter()
                 .enumerate()
                 .filter(|&(p, _)| self.pe_alive[p])
                 .min_by_key(|&(p, &l)| (l, p))
-                .expect("a live PE remains");
+            else {
+                return; // every PE is dead: nothing can resume
+            };
             pe_load[target] += self.chare_load[c].as_ns();
-            self.migrate(ChareId(c), target);
+            moves.push((ChareId(c), target));
         }
-        // Restore every chare (global rollback) in id order.
-        for c in 0..self.chares.len() {
-            let snap = self.ckpts[&ChareId(c)]
-                .iter()
-                .rev()
-                .find(|&&(e, _, _)| e <= epoch)
-                .map(|(_, _, s)| s.clone())
-                .unwrap_or_else(|| panic!("chare {c} has no snapshot at or before epoch {epoch}"));
-            self.chares[c]
-                .as_mut()
-                .expect("chare resident during recovery")
-                .restore(snap);
-            self.stats.chares_restored += 1;
+        if self.rollback(sim, &moves).is_ok() {
+            self.stats.recoveries += 1;
         }
-        let (targets, entry) = self
-            .recovery_resume
-            .clone()
-            .expect("set_recovery_resume not called before a PE failure");
-        self.broadcast(sim, &targets, entry, epoch);
     }
 
     /// Number of registered chares.
@@ -902,6 +799,7 @@ impl Machine {
         self.lb_recent.push(0);
         self.lb_ewma.push(0);
         self.lb_bytes.push(std::collections::BTreeMap::new());
+        self.ckpts.add_chare();
         id
     }
 

@@ -136,6 +136,30 @@ fn pe_failure_recovers_from_checkpoints() {
 }
 
 #[test]
+fn pe_failure_before_first_checkpoint_stalls_instead_of_panicking() {
+    // Kill a PE at 5% of the fault-free makespan: before the first
+    // checkpoint wave, so no chare holds a snapshot to roll back to.
+    let mut cfg = faulty_cfg(CommMode::HostStaging, 0.0, true);
+    cfg.checkpoint_every = 2;
+    let (mut sim0, ids0, sh0) = charm::build(cfg.clone());
+    let r0 = charm::run(&mut sim0, &ids0, &sh0);
+
+    cfg.machine.faults.pe_failures = vec![PeFault {
+        at: SimTime::ZERO + r0.total.mul_f64(0.05),
+        pe: 1,
+    }];
+    let (mut sim, ids, sh) = charm::build(cfg);
+    let (result, stalled) = charm::run_tolerant(&mut sim, &ids, &sh);
+    assert!(result.is_none(), "a lost cut cannot finish the run");
+    assert!(stalled > 0, "blocks waiting on the dead PE must stall");
+    let st = sim.machine.stats();
+    assert_eq!(st.pe_failures, 1);
+    assert_eq!(st.recoveries, 0, "no cut, no rollback");
+    assert_eq!(st.chares_restored, 0);
+    assert_eq!(sim.machine.incarnation(), 0, "the world was left as it is");
+}
+
+#[test]
 fn same_fault_seed_replays_identically() {
     let fingerprint = || {
         let cfg = faulty_cfg(CommMode::HostStaging, 0.1, true);

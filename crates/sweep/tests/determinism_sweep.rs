@@ -7,7 +7,7 @@
 use gaat_jacobi3d::{CommMode, Dims, Placement};
 use gaat_net::{FatTreeParams, TopologyKind};
 use gaat_rt::MachineConfig;
-use gaat_sim::FaultPlan;
+use gaat_sim::{FaultPlan, PeFault, SimTime};
 use gaat_sweep::{run_standalone, run_sweep, ScenarioGrid, SweepOptions, Workload};
 
 fn test_machine() -> MachineConfig {
@@ -194,6 +194,45 @@ fn stalled_scenarios_are_reported_not_fatal() {
         assert_eq!(r.unit_ns, 0);
     }
     assert!(report.records.iter().any(|r| r.ok));
+}
+
+#[test]
+fn pe_failures_without_lb_record_recovery_or_stall() {
+    // A template carrying a PE failure with the balancer off must arm
+    // checkpoints itself, so the scenario records an outcome instead of
+    // panicking in the worker that builds it.
+    let scenario = |fail_at: Option<f64>, makespan_ns: u64| {
+        let mut machine = test_machine();
+        if let Some(frac) = fail_at {
+            machine.faults.pe_failures = vec![PeFault {
+                at: SimTime::from_ns((makespan_ns as f64 * frac) as u64),
+                pe: 1,
+            }];
+        }
+        let mut grid = ScenarioGrid::new(machine);
+        grid.workloads = vec![Workload::Jacobi {
+            global: Dims::cube(8),
+            iters: 4,
+            warmup: 1,
+            comm: CommMode::HostStaging,
+        }];
+        grid.odfs = vec![2];
+        grid.expand().remove(0)
+    };
+    let clean = run_standalone(&scenario(None, 0));
+    assert!(clean.ok && clean.checksum.is_some());
+
+    // Mid-run: recovered from the checkpoint cut, same field.
+    let mid = run_standalone(&scenario(Some(0.6), clean.makespan_ns));
+    assert!(mid.ok, "a mid-run PE failure recovers");
+    assert_eq!(mid.checksum, clean.checksum);
+    assert!(mid.makespan_ns > clean.makespan_ns);
+
+    // Before the first checkpoint wave: no cut, so the run stalls and
+    // the record says so.
+    let early = run_standalone(&scenario(Some(0.05), clean.makespan_ns));
+    assert!(!early.ok, "a lost checkpoint cut cannot finish");
+    assert!(early.stalled > 0);
 }
 
 #[test]

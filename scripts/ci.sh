@@ -54,6 +54,24 @@ grep -Eq '"sanity_pin": \{"recovery": [0-9.]+, "min_recovery": 0.2, "replay_iden
   || { echo "lb_speed sanity pin failed in BENCH_lb_smoke.json" >&2; exit 1; }
 echo "lb smoke OK"
 
+echo "==> load-balancer replay pin (full size)"
+# LB plans apply through the runtime's checkpoint rollback path. At full
+# size every cell must reproduce the committed BENCH_net.json lb_speed
+# block exactly: virtual-time makespan, entries and LB counters.
+cargo run --release -p gaat-bench --bin lb_speed -- --out /tmp/BENCH_lb_full.json
+python3 - /tmp/BENCH_lb_full.json BENCH_net.json <<'PY'
+import json, sys
+keys = ("total_ns", "entries", "lb_rounds", "lb_applied", "migrations")
+def cells(path):
+    with open(path) as f:
+        block = json.load(f)["lb_speed"]
+    return {c["name"]: [c[k] for k in keys] for c in block["cells"]}
+got, want = cells(sys.argv[1]), cells(sys.argv[2])
+if got != want:
+    sys.exit(f"lb_speed cells {got} differ from BENCH_net.json {want}")
+PY
+echo "lb replay OK"
+
 echo "==> sweep-engine benchmark (smoke)"
 # Batched scenario-sweep engine: fingerprints at workers 1/2/4 must
 # match each other and standalone runs, and world reuse must cut mean
