@@ -234,3 +234,166 @@ fn coll_proxy_apps_replay_goldens() {
         assert_eq!(s.steps, 396, "{name} steps");
     }
 }
+
+/// Golden fingerprints for every Jacobi3D variant the Charm and MPI
+/// versions build: (total ns, entries, kernels, graph launches) on
+/// `cfg()`. They pin the per-block pack/unpack/update code paths — stream
+/// launches, both graph strategies, the original sync scheme, the MPI
+/// variants and the norm reduction — so a refactor of that code must
+/// replay them unchanged.
+#[test]
+fn every_jacobi_variant_replays_goldens() {
+    use gaat::jacobi3d::app::GraphStrategy;
+
+    let charm = |odf, fusion, graphs, strategy| {
+        let mut c = cfg();
+        c.comm = CommMode::GpuAware;
+        c.odf = odf;
+        c.fusion = fusion;
+        c.graphs = graphs;
+        c.graph_strategy = strategy;
+        c
+    };
+    let two = GraphStrategy::TwoGraphs;
+    let upd = GraphStrategy::UpdateParams;
+    let golden = [
+        (
+            "streams None",
+            charm(2, Fusion::None, false, two),
+            1_440_224u64,
+            2_128u64,
+            2_080u64,
+            0u64,
+        ),
+        (
+            "streams A",
+            charm(2, Fusion::A, false, two),
+            1_080_288,
+            2_128,
+            1_400,
+            0,
+        ),
+        (
+            "streams B",
+            charm(2, Fusion::B, false, two),
+            720_252,
+            2_128,
+            720,
+            0,
+        ),
+        (
+            "streams C",
+            charm(2, Fusion::C, false, two),
+            539_640,
+            2_128,
+            264,
+            0,
+        ),
+        (
+            "graphs None",
+            charm(2, Fusion::None, true, two),
+            966_357,
+            2_128,
+            92,
+            240,
+        ),
+        (
+            "graphs A",
+            charm(2, Fusion::A, true, two),
+            892_055,
+            2_128,
+            24,
+            240,
+        ),
+        (
+            "graphs C",
+            charm(2, Fusion::C, true, two),
+            580_439,
+            2_128,
+            24,
+            240,
+        ),
+        (
+            "update-params None",
+            charm(2, Fusion::None, true, upd),
+            1_258_262,
+            2_128,
+            92,
+            240,
+        ),
+        (
+            "update-params C",
+            charm(2, Fusion::C, true, upd),
+            616_439,
+            2_128,
+            24,
+            240,
+        ),
+    ];
+    for (name, c, total_ns, entries, kernels, launches) in golden {
+        let r = run_charm(c);
+        assert_eq!(r.total.as_ns(), total_ns, "{name} total");
+        assert_eq!(r.entries, entries, "{name} entries");
+        assert_eq!(r.kernels, kernels, "{name} kernels");
+        assert_eq!(r.graph_launches, launches, "{name} graph launches");
+    }
+
+    for (comm, total_ns, entries, kernels) in [
+        (CommMode::HostStaging, 5_185_400u64, 5_168u64, 4_640u64),
+        (CommMode::GpuAware, 3_144_254, 5_168, 4_640),
+    ] {
+        let mut c = cfg();
+        c.comm = comm;
+        c.odf = 4;
+        c.sync = gaat::jacobi3d::SyncMode::Original;
+        let r = run_charm(c);
+        assert_eq!(r.total.as_ns(), total_ns, "original {comm:?} total");
+        assert_eq!(r.entries, entries, "original {comm:?} entries");
+        assert_eq!(r.kernels, kernels, "original {comm:?} kernels");
+    }
+
+    let mpi = |comm, overlap, virtual_ranks| {
+        let mut c = cfg();
+        c.comm = comm;
+        c.overlap = overlap;
+        c.virtual_ranks = virtual_ranks;
+        c
+    };
+    for (name, c, total_ns, entries, kernels) in [
+        (
+            "MPI-H",
+            mpi(CommMode::HostStaging, false, 1),
+            1_764_421u64,
+            1_292u64,
+            920u64,
+        ),
+        (
+            "MPI-D overlap",
+            mpi(CommMode::GpuAware, true, 1),
+            844_065,
+            1_172,
+            1_040,
+        ),
+        (
+            "MPI-H virtual 2",
+            mpi(CommMode::HostStaging, false, 2),
+            2_731_072,
+            2_824,
+            2_080,
+        ),
+    ] {
+        let r = run_mpi(c);
+        assert_eq!(r.total.as_ns(), total_ns, "{name} total");
+        assert_eq!(r.entries, entries, "{name} entries");
+        assert_eq!(r.kernels, kernels, "{name} kernels");
+        assert_eq!(r.graph_launches, 0, "{name} graph launches");
+    }
+
+    let mut c = charm(2, Fusion::None, false, two);
+    c.compute_norm = true;
+    let r = run_charm(c);
+    assert_eq!(r.total.as_ns(), 1_440_251, "norm total");
+    assert_eq!(r.entries, 2_129, "norm entries");
+    assert_eq!(r.kernels, 2_080, "norm kernels");
+    assert_eq!(r.reduced_norm, Some(0.0), "phantom norm");
+}
