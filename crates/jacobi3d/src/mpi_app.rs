@@ -10,16 +10,13 @@
 use std::sync::Arc;
 
 use gaat_mpi::Mpi;
-use gaat_rt::{
-    BufRange, BufferId, Callback, Chare, ChareId, Ctx, EntryId, Envelope, KernelSpec, MemLoc, Op,
-    Simulation, Space, StreamId,
-};
+use gaat_rt::{Callback, Chare, ChareId, Ctx, EntryId, Envelope, MemLoc, Op, Simulation, StreamId};
 use gaat_sim::SimTime;
 
-use crate::app::{CommMode, JacobiConfig, RunResult};
-use crate::geom::{Decomp, Dims, Face, FACES};
+use crate::app::{CommMode, Fusion, JacobiConfig, Placement, RunResult, SyncMode};
+use crate::block::{self, Block, BlockOwner, Halo};
+use crate::geom::Decomp;
 use crate::kernels;
-use crate::reference::initial_value;
 
 /// Begin execution.
 pub const E_START: EntryId = EntryId(0);
@@ -47,16 +44,9 @@ pub struct MpiShared {
 pub struct JacobiRank {
     mpi: Mpi,
     sh: Arc<MpiShared>,
-    dims: Dims,
-    faces: Vec<Face>,
+    block: Block,
     /// Neighbour rank across each face.
     neighbors: [Option<usize>; 6],
-    u: [BufferId; 2],
-    cur: usize,
-    halo_send_d: [Option<BufferId>; 6],
-    halo_recv_d: [Option<BufferId>; 6],
-    halo_send_h: [Option<BufferId>; 6],
-    halo_recv_h: [Option<BufferId>; 6],
     stream: StreamId,
     iter: usize,
     /// Warm-up completion time.
@@ -66,14 +56,13 @@ pub struct JacobiRank {
 }
 
 impl JacobiRank {
-    fn face_cells(&self, f: Face) -> usize {
-        f.area(self.dims)
+    fn host_staging(&self) -> bool {
+        self.sh.cfg.comm == CommMode::HostStaging
     }
 
     fn interior_cells(&self) -> usize {
-        self.dims.x.saturating_sub(2)
-            * self.dims.y.saturating_sub(2)
-            * self.dims.z.saturating_sub(2)
+        let d = self.block.dims;
+        d.x.saturating_sub(2) * d.y.saturating_sub(2) * d.z.saturating_sub(2)
     }
 
     /// Blocking wait on the GPU stream — except under AMPI-style
@@ -90,16 +79,8 @@ impl JacobiRank {
 
     /// Phase 1: pack all faces, then synchronize.
     fn step_pack(&mut self, ctx: &mut Ctx<'_>) {
-        for &f in &self.faces.clone() {
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::copy_work(t, self.face_cells(f));
-            let (u, halo, d) = (
-                self.u[self.cur],
-                self.halo_send_d[f.index()].expect("active"),
-                self.dims,
-            );
-            let spec =
-                KernelSpec::with_func("pack", work, move |m| kernels::pack(m, u, halo, d, f));
+        for f in self.block.faces() {
+            let spec = self.block.pack(&ctx.machine.cfg.gpu, self.block.cur, f);
             ctx.launch(self.stream, Op::kernel(spec));
         }
         self.gpu_wait(ctx, E_PACKED);
@@ -107,15 +88,11 @@ impl JacobiRank {
 
     /// Phase 2 (host staging only): D2H all faces, then synchronize.
     fn step_stage_out(&mut self, ctx: &mut Ctx<'_>) {
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
+        for f in self.block.faces() {
+            let b = &self.block;
             ctx.launch(
                 self.stream,
-                Op::d2h(
-                    BufRange::whole(self.halo_send_d[i].expect("active"), cells),
-                    BufRange::whole(self.halo_send_h[i].expect("active"), cells),
-                ),
+                Op::d2h(b.halo(Halo::Send, f), b.halo(Halo::SendHost, f)),
             );
         }
         self.gpu_wait(ctx, E_STAGED);
@@ -124,31 +101,19 @@ impl JacobiRank {
     /// Phase 3: post all sends and receives, optionally overlap the
     /// interior update, then wait for everything.
     fn step_comm(&mut self, ctx: &mut Ctx<'_>) {
-        let dev = ctx.device();
-        let host = self.sh.cfg.comm == CommMode::HostStaging;
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
-            let nb = self.neighbors[i].expect("active face");
-            let (sbuf, rbuf) = if host {
-                (
-                    self.halo_send_h[i].expect("active"),
-                    self.halo_recv_h[i].expect("active"),
-                )
-            } else {
-                (
-                    self.halo_send_d[i].expect("active"),
-                    self.halo_recv_d[i].expect("active"),
-                )
+        let device = ctx.device();
+        let (send, recv) = if self.host_staging() {
+            (Halo::SendHost, Halo::RecvHost)
+        } else {
+            (Halo::Send, Halo::Recv)
+        };
+        for f in self.block.faces() {
+            let nb = self.neighbors[f.index()].expect("active face");
+            let loc = |which| MemLoc {
+                device,
+                range: self.block.halo(which, f),
             };
-            let sloc = MemLoc {
-                device: dev,
-                range: BufRange::whole(sbuf, cells),
-            };
-            let rloc = MemLoc {
-                device: dev,
-                range: BufRange::whole(rbuf, cells),
-            };
+            let (sloc, rloc) = (loc(send), loc(recv));
             // Tag = the *sender's* face index, so my receive across face f
             // matches the neighbour's send from f.opposite().
             self.mpi.irecv(ctx, nb, f.opposite().index() as u64, rloc);
@@ -157,11 +122,10 @@ impl JacobiRank {
         if self.sh.cfg.overlap {
             // Manual overlap (Fig. 1b): the interior does not depend on
             // halo data.
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::update_work(t, self.interior_cells());
+            let work = kernels::update_work(&ctx.machine.cfg.gpu, self.interior_cells());
             ctx.launch(
                 self.stream,
-                Op::kernel(KernelSpec::phantom("update_interior", work)),
+                Op::kernel(gaat_rt::KernelSpec::phantom("update_interior", work)),
             );
         }
         self.mpi.wait_all(ctx, E_COMM_DONE, self.iter as u64);
@@ -171,47 +135,26 @@ impl JacobiRank {
     /// only under manual overlap), then synchronize into the iteration
     /// boundary.
     fn step_update(&mut self, ctx: &mut Ctx<'_>) {
-        let host = self.sh.cfg.comm == CommMode::HostStaging;
-        for &f in &self.faces.clone() {
-            let i = f.index();
-            let cells = self.face_cells(f);
-            if host {
+        let (b, cur) = (&self.block, self.block.cur);
+        for f in b.faces() {
+            if self.host_staging() {
                 ctx.launch(
                     self.stream,
-                    Op::h2d(
-                        BufRange::whole(self.halo_recv_h[i].expect("active"), cells),
-                        BufRange::whole(self.halo_recv_d[i].expect("active"), cells),
-                    ),
+                    Op::h2d(b.halo(Halo::RecvHost, f), b.halo(Halo::Recv, f)),
                 );
             }
-            let t = &ctx.machine.cfg.gpu;
-            let work = kernels::copy_work(t, cells);
-            let (u, halo, d) = (
-                self.u[self.cur],
-                self.halo_recv_d[i].expect("active"),
-                self.dims,
-            );
-            let spec =
-                KernelSpec::with_func("unpack", work, move |m| kernels::unpack(m, u, halo, d, f));
+            let spec = b.unpack(&ctx.machine.cfg.gpu, cur, f);
             ctx.launch(self.stream, Op::kernel(spec));
         }
-        // The update kernel; under manual overlap only the exterior
-        // remains (the functional effect is always the full sweep — the
-        // interior phantom kernel carried no effect).
-        let t = &ctx.machine.cfg.gpu;
-        let cells = if self.sh.cfg.overlap {
-            self.dims.count() - self.interior_cells()
-        } else {
-            self.dims.count()
-        };
-        let work = kernels::update_work(t, cells);
-        let (uin, uout, d) = (self.u[self.cur], self.u[1 - self.cur], self.dims);
-        let name = if self.sh.cfg.overlap {
-            "update_exterior"
-        } else {
-            "update"
-        };
-        let spec = KernelSpec::with_func(name, work, move |m| kernels::update(m, uin, uout, d));
+        let mut spec = b.update(&ctx.machine.cfg.gpu, cur);
+        if self.sh.cfg.overlap {
+            // Only the exterior remains to be charged; the functional
+            // effect is still the full sweep (the interior phantom kernel
+            // carried none).
+            let exterior = b.dims.count() - self.interior_cells();
+            spec.name = "update_exterior";
+            spec.work = kernels::update_work(&ctx.machine.cfg.gpu, exterior);
+        }
         ctx.launch(self.stream, Op::kernel(spec));
         self.gpu_wait(ctx, E_ITER_DONE);
     }
@@ -223,7 +166,7 @@ impl Chare for JacobiRank {
             E_START => self.step_pack(ctx),
             E_REQ => self.mpi.on_request_done(ctx, env),
             E_PACKED => {
-                if self.sh.cfg.comm == CommMode::HostStaging {
+                if self.host_staging() {
                     self.step_stage_out(ctx);
                 } else {
                     self.step_comm(ctx);
@@ -232,7 +175,7 @@ impl Chare for JacobiRank {
             E_STAGED => self.step_comm(ctx),
             E_COMM_DONE => self.step_update(ctx),
             E_ITER_DONE => {
-                self.cur = 1 - self.cur;
+                self.block.cur = 1 - self.block.cur;
                 self.iter += 1;
                 if self.iter == self.sh.cfg.warmup {
                     self.warm_at = Some(ctx.start_time());
@@ -248,6 +191,16 @@ impl Chare for JacobiRank {
     }
 }
 
+impl BlockOwner for JacobiRank {
+    fn block(&self) -> &Block {
+        &self.block
+    }
+
+    fn times(&self) -> (Option<SimTime>, Option<SimTime>) {
+        (self.warm_at, self.done_at)
+    }
+}
+
 /// Build the MPI Jacobi3D simulation: one rank per PE.
 pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
     let sim = Simulation::new(cfg.machine.clone());
@@ -257,6 +210,10 @@ pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
 /// [`build`] into a caller-provided engine (a recycled
 /// [`gaat_rt::WorldSlot`] world), so batched sweeps can reuse engines
 /// across MPI-variant runs exactly as they do for the task runtime.
+///
+/// Panics if a knob only the task-runtime version reads (`odf`,
+/// `fusion`, `graphs`, `sync`, `placement`, `compute_norm`,
+/// `checkpoint_every`) is off its default.
 pub fn build_in(
     mut sim: Simulation,
     cfg: JacobiConfig,
@@ -267,10 +224,20 @@ pub fn build_in(
         "the MPI versions always run one rank per PE (use the task runtime for ODF > 1, \
          or virtual_ranks for AMPI-style virtualization)"
     );
+    assert!(
+        cfg.fusion == Fusion::None
+            && !cfg.graphs
+            && cfg.sync == SyncMode::Optimized
+            && cfg.placement == Placement::Packed
+            && !cfg.compute_norm
+            && cfg.checkpoint_every == 0,
+        "the MPI versions ignore fusion, graphs, sync, placement, compute_norm and \
+         checkpoint_every; leave them at their defaults"
+    );
     let pes = cfg.machine.total_pes();
     let nranks = pes * cfg.virtual_ranks;
     let decomp = Decomp::new(cfg.global, nranks);
-    let real = cfg.machine.real_buffers;
+    let (host, real) = (cfg.comm == CommMode::HostStaging, cfg.machine.real_buffers);
     let sh = Arc::new(MpiShared {
         cfg: cfg.clone(),
         decomp,
@@ -278,102 +245,40 @@ pub fn build_in(
 
     // Pre-allocate per-rank GPU resources (the factory below cannot touch
     // the machine while `create_ranks` holds it).
-    struct Pre {
-        dims: Dims,
-        faces: Vec<Face>,
-        neighbors: [Option<usize>; 6],
-        u: [BufferId; 2],
-        hs_d: [Option<BufferId>; 6],
-        hr_d: [Option<BufferId>; 6],
-        hs_h: [Option<BufferId>; 6],
-        hr_h: [Option<BufferId>; 6],
-        stream: StreamId,
-    }
-    let mut pre: Vec<Option<Pre>> = Vec::with_capacity(nranks);
+    let mut pre = Vec::with_capacity(nranks);
     for rank in 0..nranks {
         let coord = sh.decomp.coord_of(rank);
-        let dims = sh.decomp.block_dims(coord);
-        let origin = sh.decomp.block_origin(coord);
-        let faces = sh.decomp.active_faces(coord);
         let device = &mut sim.machine.devices[rank / cfg.virtual_ranks];
-        let len = kernels::ghosted_len(dims);
-        let u0 = device.mem.alloc(Space::Device, len, real);
-        let u1 = device.mem.alloc(Space::Device, len, real);
-        if real {
-            let s = device.mem.get_mut(u0).as_mut_slice().expect("real");
-            for z in 1..=dims.z {
-                for y in 1..=dims.y {
-                    for x in 1..=dims.x {
-                        s[kernels::idx(dims, x, y, z)] =
-                            initial_value(origin.0 + x - 1, origin.1 + y - 1, origin.2 + z - 1);
-                    }
-                }
-            }
-        }
-        let mut hs_d = [None; 6];
-        let mut hr_d = [None; 6];
-        let mut hs_h = [None; 6];
-        let mut hr_h = [None; 6];
+        let block = Block::alloc(&mut device.mem, &sh.decomp, coord, host, real);
         let mut neighbors = [None; 6];
-        for &f in &faces {
-            let cells = f.area(dims);
-            let i = f.index();
-            hs_d[i] = Some(device.mem.alloc(Space::Device, cells, real));
-            hr_d[i] = Some(device.mem.alloc(Space::Device, cells, real));
-            if cfg.comm == CommMode::HostStaging {
-                hs_h[i] = Some(device.mem.alloc(Space::Host, cells, real));
-                hr_h[i] = Some(device.mem.alloc(Space::Host, cells, real));
-            }
-            neighbors[i] = Some(
-                sh.decomp
-                    .index_of(sh.decomp.neighbor(coord, f).expect("active")),
-            );
+        for f in block.faces() {
+            let n = sh.decomp.neighbor(coord, f).expect("active");
+            neighbors[f.index()] = Some(sh.decomp.index_of(n));
         }
         let stream = device.create_stream(1);
-        pre.push(Some(Pre {
-            dims,
-            faces,
-            neighbors,
-            u: [u0, u1],
-            hs_d,
-            hr_d,
-            hs_h,
-            hr_h,
-            stream,
-        }));
+        pre.push((block, neighbors, stream));
     }
 
     for d in &sim.machine.devices {
         d.assert_memory_fits();
     }
 
-    let sh2 = sh.clone();
+    let (sh2, mut pre) = (sh.clone(), pre.into_iter());
     let ids = gaat_mpi::create_ranks(
         &mut sim,
         nranks,
         cfg.virtual_ranks,
         E_REQ,
-        move |rank, mpi| {
-            let p = pre[rank].take().expect("one factory call per rank");
+        move |_rank, mpi| {
+            let (block, neighbors, stream) = pre.next().expect("one factory call per rank");
             JacobiRank {
                 mpi,
                 sh: sh2.clone(),
-                dims: p.dims,
-                faces: p.faces,
-                neighbors: p.neighbors,
-                u: p.u,
-                cur: 0,
-                halo_send_d: p.hs_d,
-                halo_recv_d: p.hr_d,
-                halo_send_h: p.hs_h,
-                halo_recv_h: p.hr_h,
-                stream: p.stream,
+                block,
+                neighbors,
+                stream,
                 iter: 0,
-                warm_at: if sh2.cfg.warmup == 0 {
-                    Some(SimTime::ZERO)
-                } else {
-                    None
-                },
+                warm_at: (sh2.cfg.warmup == 0).then_some(SimTime::ZERO),
                 done_at: None,
             }
         },
@@ -386,89 +291,18 @@ pub fn run(sim: &mut Simulation, ids: &[ChareId], sh: &MpiShared) -> RunResult {
     gaat_mpi::start_all(sim, ids, E_START);
     let outcome = sim.run();
     assert_eq!(outcome, gaat_rt::RunOutcome::Drained, "should quiesce");
-    let mut warm = SimTime::ZERO;
-    let mut done = SimTime::ZERO;
-    for &id in ids {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        warm = warm.max(r.warm_at.expect("rank warmed up"));
-        done = done.max(r.done_at.expect("rank finished"));
-    }
-    let checksum = checksum(sim, ids, sh);
-    let kernels: u64 = sim.machine.devices.iter().map(|d| d.stats().kernels).sum();
-    let pes = sim.machine.pes.len();
-    let cpu_utilization = (0..pes)
-        .map(|p| sim.machine.pe_utilization(p, done))
-        .sum::<f64>()
-        / pes as f64;
-    RunResult {
-        time_per_iter: done.since(warm) / sh.cfg.iters as u64,
-        total: done.since(SimTime::ZERO),
-        warm_at: warm,
-        checksum,
-        entries: sim.machine.stats().entries,
-        kernels,
-        graph_launches: 0,
-        cpu_utilization,
-        reduced_norm: None,
-    }
+    block::fold_result::<JacobiRank>(sim, ids, &sh.cfg, None)
 }
 
 /// Sum of squares of the final field (`None` in phantom mode),
 /// reconstructed in global order so it is bit-comparable across variants
 /// and decompositions.
 pub fn checksum(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> Option<f64> {
-    if !sh.cfg.machine.real_buffers {
-        return None;
-    }
-    let mut field = vec![0.0f64; sh.cfg.global.count()];
-    let g = sh.cfg.global;
-    for (rank, &id) in ids.iter().enumerate() {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        let pe = sim.machine.pe_of(id);
-        let buf = sim.machine.devices[pe].mem.get(r.u[r.cur]);
-        let s = buf.as_slice()?;
-        let d = r.dims;
-        let o = sh.decomp.block_origin(sh.decomp.coord_of(rank));
-        for z in 1..=d.z {
-            for y in 1..=d.y {
-                for x in 1..=d.x {
-                    let gi = ((o.2 + z - 1) * g.y + (o.1 + y - 1)) * g.x + (o.0 + x - 1);
-                    field[gi] = s[kernels::idx(d, x, y, z)];
-                }
-            }
-        }
-    }
-    Some(field.iter().map(|v| v * v).sum())
+    block::checksum::<JacobiRank>(sim, ids, &sh.cfg)
 }
 
 /// Bit-exact comparison of every rank's final block against the
 /// sequential reference.
 pub fn validate_against_reference(sim: &Simulation, ids: &[ChareId], sh: &MpiShared) -> usize {
-    let mut reference = crate::reference::Reference::new(sh.cfg.global);
-    reference.run(sh.cfg.total_iters());
-    let mut compared = 0;
-    for (rank, &id) in ids.iter().enumerate() {
-        let r = sim.machine.chare_as::<JacobiRank>(id);
-        let pe = sim.machine.pe_of(id);
-        let buf = sim.machine.devices[pe].mem.get(r.u[r.cur]);
-        let s = buf.as_slice().expect("validation needs real buffers");
-        let d = r.dims;
-        let o = sh.decomp.block_origin(sh.decomp.coord_of(rank));
-        for z in 1..=d.z {
-            for y in 1..=d.y {
-                for x in 1..=d.x {
-                    let got = s[kernels::idx(d, x, y, z)];
-                    let want = reference.at(o.0 + x - 1, o.1 + y - 1, o.2 + z - 1);
-                    assert_eq!(got, want, "rank {rank} cell ({x},{y},{z})");
-                    compared += 1;
-                }
-            }
-        }
-    }
-    compared
+    block::validate::<JacobiRank>(sim, ids, &sh.cfg)
 }
-
-const _: () = {
-    // FACES must stay in sync with the 6-slot arrays used above.
-    assert!(FACES.len() == 6);
-};

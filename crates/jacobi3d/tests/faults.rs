@@ -176,3 +176,17 @@ fn same_fault_seed_replays_identically() {
     };
     assert_eq!(fingerprint(), fingerprint(), "same seed, same trajectory");
 }
+
+#[test]
+#[should_panic(expected = "post-recovery migration requires host-staging, non-graph config")]
+fn gpu_aware_pe_failure_is_rejected_at_build() {
+    // A migrated block cannot rebuild its channels, so a GPU-aware run
+    // with PE failures armed must fail when it is built, not mid-run.
+    let mut cfg = faulty_cfg(CommMode::GpuAware, 0.0, true);
+    cfg.checkpoint_every = 2;
+    cfg.machine.faults.pe_failures = vec![PeFault {
+        at: SimTime::from_ns(100_000),
+        pe: 1,
+    }];
+    let _ = charm::build(cfg);
+}

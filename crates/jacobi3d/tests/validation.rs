@@ -266,3 +266,20 @@ fn graph_update_params_strategy_matches_reference() {
         validate_charm(cfg);
     }
 }
+
+#[test]
+#[should_panic(expected = "the MPI versions ignore fusion")]
+fn mpi_rejects_fusion() {
+    let mut cfg = base_cfg(2, 2, 12);
+    cfg.comm = CommMode::GpuAware;
+    cfg.fusion = Fusion::C;
+    let _ = mpi_app::build(cfg);
+}
+
+#[test]
+#[should_panic(expected = "the task-runtime version ignores overlap")]
+fn charm_rejects_overlap() {
+    let mut cfg = base_cfg(2, 2, 12);
+    cfg.overlap = true;
+    let _ = charm::build(cfg);
+}

@@ -397,3 +397,25 @@ fn every_jacobi_variant_replays_goldens() {
     assert_eq!(r.kernels, 2_080, "norm kernels");
     assert_eq!(r.reduced_norm, Some(0.0), "phantom norm");
 }
+
+/// Captured graphs give their pack and unpack nodes the communication
+/// priority class, exactly as the stream path gives the communication
+/// streams: dropping `comm_priority` to 0 must change a graph run's
+/// makespan, and the default class 2 must keep its pinned total.
+#[test]
+fn graph_nodes_take_the_comm_priority() {
+    let total = |comm_priority| {
+        let mut c = JacobiConfig::new(MachineConfig::summit(2), Dims::new(768, 768, 1536));
+        c.comm = CommMode::GpuAware;
+        c.odf = 4;
+        c.graphs = true;
+        c.iters = 4;
+        c.warmup = 1;
+        c.comm_priority = comm_priority;
+        run_charm(c).total.as_ns()
+    };
+    let (high, flat) = (total(2), total(0));
+    assert_eq!(high, 11_857_652, "priority-2 graph total");
+    assert_eq!(flat, 11_992_116, "priority-0 graph total");
+    assert_ne!(high, flat, "graph nodes ignore comm_priority");
+}
