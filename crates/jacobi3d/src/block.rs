@@ -9,7 +9,7 @@
 //! buffer it is given.
 //!
 //! The run-level folds both versions share (checksum, validation against
-//! the reference, the [`RunResult`]) read blocks through [`BlockOwner`].
+//! the reference, the [`RunResult`]) read blocks through `BlockOwner`.
 
 use gaat_gpu::{GpuTimingModel, MemoryPool};
 use gaat_rt::{BufRange, BufferId, Chare, ChareId, KernelSpec, Simulation, Space};
@@ -72,10 +72,7 @@ impl Block {
             mem.alloc(Space::Device, len, real),
         ];
         let mut halos = [[None; 6]; 4];
-        for f in FACES
-            .into_iter()
-            .filter(|&f| decomp.neighbor(coord, f).is_some())
-        {
+        for f in decomp.active_faces(coord) {
             let (cells, i) = (f.area(dims), f.index());
             halos[Halo::Send as usize][i] = Some(mem.alloc(Space::Device, cells, real));
             halos[Halo::Recv as usize][i] = Some(mem.alloc(Space::Device, cells, real));

@@ -258,17 +258,14 @@ impl BlockChare {
     fn reprovision(&mut self, ctx: &mut Ctx<'_>) {
         let dev = ctx.device();
         let device = &mut ctx.machine.devices[dev.0];
-        let (cfg, cur) = (&self.sh.cfg, self.block.cur);
-        let real = cfg.machine.real_buffers;
-        self.block = Block::alloc(
-            &mut device.mem,
-            &self.sh.decomp,
-            self.block.coord,
-            true,
-            real,
-        );
+        let (sh, cur) = (&self.sh, self.block.cur);
+        let real = sh.cfg.machine.real_buffers;
+        // The initial field `alloc` writes is never read: the restore
+        // overwrites the interior of `u[cur]`, and the next update all of
+        // `u[1 - cur]`'s.
+        self.block = Block::alloc(&mut device.mem, &sh.decomp, self.block.coord, true, real);
         self.block.cur = cur;
-        self.streams = Streams::create(device, cfg, &self.block);
+        self.streams = Streams::create(device, &sh.cfg, &self.block);
         self.dev = dev;
     }
 
@@ -642,10 +639,8 @@ pub fn build_in(mut sim: Simulation, cfg: JacobiConfig) -> (Simulation, Vec<Char
     if cfg.comm == CommMode::GpuAware {
         for bi in 0..nblocks {
             let coord = sh.decomp.coord_of(bi);
-            for f in FACES {
-                let Some(n) = sh.decomp.neighbor(coord, f) else {
-                    continue;
-                };
+            for f in sh.decomp.active_faces(coord) {
+                let n = sh.decomp.neighbor(coord, f).expect("active");
                 let ni = sh.decomp.index_of(n);
                 if bi < ni {
                     let (ea, eb) = create_channel(&mut sim.machine, ids[bi], ids[ni]);

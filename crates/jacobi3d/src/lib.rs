@@ -17,6 +17,11 @@
 //!
 //! In validation mode (small grids, real buffers) every variant's final
 //! field is compared bit-for-bit against a sequential reference solver.
+//!
+//! [`block`] holds what one block owns and the one kernel builder that
+//! both versions launch on streams and [`charm`] also captures as
+//! graphs; [`charm`] drives blocks as chares, [`mpi_app`] as MPI ranks.
+//! Each version's `build_in` rejects the configuration knobs it ignores.
 
 #![warn(missing_docs)]
 

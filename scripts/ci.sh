@@ -103,4 +103,26 @@ echo "==> perfbench self-test (smoke)"
 python3 perfbench/selftest.py
 echo "perfbench self-test OK"
 
+echo "==> perfbench simulated-time pin (smoke)"
+# Simulated time is the model's output, so a change that only touches
+# how the apps or the runtime are written must not move it. Each
+# Jacobi3D workload, at smoke size and seed 3, must be correct, fail no
+# operation and reproduce its recorded sim_us_per_iter exactly.
+python3 - <<'PY'
+import json, subprocess, sys
+want = {"strong_charmd_512": 490.173, "weak_fattree_charmh_64": 19309.35}
+for name, us in want.items():
+    out = subprocess.run(
+        ["cargo", "run", "--quiet", "--release", "--offline", "--manifest-path",
+         "perfbench/Cargo.toml", "--", "--workload", name, "--seed", "3",
+         "--seconds", "0.1", "--trace", "0", "--smoke"],
+        capture_output=True, text=True, check=True)
+    r = json.loads(out.stdout.strip().splitlines()[-1])
+    got = r["metrics"]["sim_us_per_iter"]["value"]
+    if not (r["correct"] and r["failed"] == 0 and got == us):
+        sys.exit(f"{name}: correct {r['correct']}, failed {r['failed']}, "
+                 f"sim_us_per_iter {got} (want {us})")
+PY
+echo "sim-time pin OK"
+
 echo "CI green"
