@@ -155,11 +155,15 @@ impl JacobiConfig {
 
     /// Panics on inconsistent combinations (mirrors the paper's usage:
     /// fusion and graphs only with GPU-aware communication; the original
-    /// sync scheme predates fusion/graphs).
+    /// sync scheme predates fusion/graphs; a graph strategy needs graphs).
     pub fn validate(&self) {
         assert!(self.odf >= 1, "ODF must be at least 1");
         assert!(self.virtual_ranks >= 1, "need at least one rank per PE");
         assert!(self.iters > 0, "need at least one timed iteration");
+        assert!(
+            self.graphs || self.graph_strategy == GraphStrategy::TwoGraphs,
+            "graph_strategy only applies with graphs on"
+        );
         if self.fusion != Fusion::None || self.graphs {
             assert_eq!(
                 self.comm,
@@ -229,6 +233,14 @@ mod tests {
         let mut c = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(12));
         c.sync = SyncMode::Original;
         c.graphs = true;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "graph_strategy only applies")]
+    fn graph_strategy_requires_graphs() {
+        let mut c = JacobiConfig::new(MachineConfig::validation(1, 2), Dims::cube(12));
+        c.graph_strategy = GraphStrategy::UpdateParams;
         c.validate();
     }
 

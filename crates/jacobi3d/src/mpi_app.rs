@@ -13,7 +13,7 @@ use gaat_mpi::Mpi;
 use gaat_rt::{Callback, Chare, ChareId, Ctx, EntryId, Envelope, MemLoc, Op, Simulation, StreamId};
 use gaat_sim::SimTime;
 
-use crate::app::{CommMode, Fusion, GraphStrategy, JacobiConfig, Placement, RunResult, SyncMode};
+use crate::app::{CommMode, Fusion, JacobiConfig, Placement, RunResult, SyncMode};
 use crate::block::{self, Block, BlockOwner, Halo};
 use crate::geom::Decomp;
 use crate::kernels;
@@ -212,9 +212,8 @@ pub fn build(cfg: JacobiConfig) -> (Simulation, Vec<ChareId>, Arc<MpiShared>) {
 /// across MPI-variant runs exactly as they do for the task runtime.
 ///
 /// Panics if a knob only the task-runtime version reads (`odf`,
-/// `fusion`, `graphs`, `graph_strategy`, `sync`, `placement`,
-/// `comm_priority`, `compute_norm`, `checkpoint_every`) is off its
-/// default.
+/// `fusion`, `graphs`, `sync`, `placement`, `comm_priority`,
+/// `compute_norm`, `checkpoint_every`) is off its default.
 pub fn build_in(
     mut sim: Simulation,
     cfg: JacobiConfig,
@@ -228,14 +227,13 @@ pub fn build_in(
     assert!(
         cfg.fusion == Fusion::None
             && !cfg.graphs
-            && cfg.graph_strategy == GraphStrategy::TwoGraphs
             && cfg.sync == SyncMode::Optimized
             && cfg.placement == Placement::Packed
             && cfg.comm_priority == 2
             && !cfg.compute_norm
             && cfg.checkpoint_every == 0,
-        "the MPI versions ignore fusion, graphs, graph_strategy, sync, placement, \
-         comm_priority, compute_norm and checkpoint_every; leave them at their defaults"
+        "the MPI versions ignore fusion, graphs, sync, placement, comm_priority, \
+         compute_norm and checkpoint_every; leave them at their defaults"
     );
     let pes = cfg.machine.total_pes();
     let nranks = pes * cfg.virtual_ranks;
